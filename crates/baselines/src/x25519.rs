@@ -1,5 +1,5 @@
 //! X25519 (RFC 7748): the Curve25519 Diffie–Hellman function, baseline of
-//! Table II row [22] and the "2× slower than FourQ" comparison of the
+//! Table II row \[22\] and the "2× slower than FourQ" comparison of the
 //! paper's introduction.
 //!
 //! Montgomery ladder over `p = 2^255 − 19` with the standard

@@ -4,8 +4,7 @@
 //! adder/subtractor).
 
 use fourq_sched::{
-    exact_schedule, lower_bound, schedule, serial_schedule, trace_to_problem, MachineConfig,
-    UnitKind,
+    exact_schedule, lower_bound, schedule, serial_schedule, trace_to_problem, MachineConfig, Unit,
 };
 use fourq_trace::{trace_double_add_iteration, Operand};
 
@@ -39,10 +38,7 @@ fn main() {
         let mut add_col = String::new();
         let mut wb_col = String::new();
         for (i, node) in trace.nodes.iter().enumerate() {
-            let lat = match node.kind.unit() {
-                fourq_trace::Unit::Multiplier => machine.mul_latency as u64,
-                fourq_trace::Unit::AddSub => machine.addsub_latency as u64,
-            };
+            let lat = machine.latency(node.kind.unit());
             if sched.start[i] == cycle {
                 let operands = match node.b {
                     Some(b) => format!("{}, {}", name(node.a), name(b)),
@@ -50,8 +46,8 @@ fn main() {
                 };
                 let s = format!("t{i} = {} {}", node.kind.mnemonic(), operands);
                 match node.kind.unit() {
-                    fourq_trace::Unit::Multiplier => mul_col = s,
-                    fourq_trace::Unit::AddSub => add_col = s,
+                    Unit::Multiplier => mul_col = s,
+                    Unit::AddSub => add_col = s,
                 }
             }
             if sched.start[i] + lat == cycle + 1 {
@@ -67,7 +63,7 @@ fn main() {
     let muls = problem
         .jobs
         .iter()
-        .filter(|j| j.unit == UnitKind::Multiplier)
+        .filter(|j| j.unit == Unit::Multiplier)
         .count();
     let adds = problem.len() - muls;
     let lb = lower_bound(&problem, &machine);

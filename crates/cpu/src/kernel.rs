@@ -33,9 +33,7 @@ use fourq_sched::{
     lower_bound, schedule, serial_schedule, stitched_exact_schedule, trace_to_problem,
     MachineConfig, Problem, Schedule, ScheduleError, SegmentReport, StitchOptions,
 };
-use fourq_trace::{
-    mont_field, DigitStream, OpKind, OpStats, Operand, Trace, TraceError, Unit, Word,
-};
+use fourq_trace::{mont_field, DigitStream, OpKind, OpStats, Operand, Trace, TraceError, Word};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -227,21 +225,7 @@ pub struct CompiledKernel {
 /// Any stage failure as a [`PipelineError`]; [`PipelineError::Diverged`]
 /// if the final audit against the software library fails.
 pub fn compile(machine: &MachineConfig, effort: u32) -> Result<CompiledKernel, PipelineError> {
-    compile_curve_with_budget(CurveId::FourQ, machine, effort, DEFAULT_REGISTER_BUDGET)
-}
-
-/// As [`compile`] with an explicit register-file budget.
-///
-/// # Errors
-///
-/// See [`compile`]; additionally [`PipelineError::RegisterBudget`] when
-/// the allocation does not fit `budget` registers.
-pub fn compile_with_budget(
-    machine: &MachineConfig,
-    effort: u32,
-    budget: usize,
-) -> Result<CompiledKernel, PipelineError> {
-    compile_curve_with_budget(CurveId::FourQ, machine, effort, budget)
+    compile_curve(CurveId::FourQ, machine, effort)
 }
 
 /// Compiles the scalar-multiplication kernel of any supported curve,
@@ -254,29 +238,21 @@ pub fn compile_with_budget(
 ///
 /// # Errors
 ///
-/// Any stage failure as a [`PipelineError`]; [`PipelineError::Diverged`]
-/// if the final audit against the software baseline fails.
+/// Any stage failure as a [`PipelineError`] (including
+/// [`PipelineError::RegisterBudget`] when the allocation does not fit the
+/// budget); [`PipelineError::Diverged`] if the final audit against the
+/// software baseline fails.
 pub fn compile_curve(
     curve: CurveId,
     machine: &MachineConfig,
     effort: u32,
 ) -> Result<CompiledKernel, PipelineError> {
-    compile_curve_with_budget(curve, machine, effort, DEFAULT_REGISTER_BUDGET)
-}
-
-/// As [`compile_curve`] with an explicit register-file budget.
-///
-/// # Errors
-///
-/// See [`compile_curve`]; additionally [`PipelineError::RegisterBudget`]
-/// when the allocation does not fit `budget` registers.
-pub fn compile_curve_with_budget(
-    curve: CurveId,
-    machine: &MachineConfig,
-    effort: u32,
-    budget: usize,
-) -> Result<CompiledKernel, PipelineError> {
-    let kernel = compile_trace(record_curve_trace(curve), machine, effort, budget)?;
+    let kernel = compile_trace(
+        record_curve_trace(curve),
+        machine,
+        effort,
+        DEFAULT_REGISTER_BUDGET,
+    )?;
     audit_kernel(&kernel)?;
     Ok(kernel)
 }
@@ -480,13 +456,7 @@ fn finish_compile(
             budget,
         });
     }
-    // A single-sequencer ROM exists only for single-instance units; wider
-    // machines keep the decoded schedule without a packed encoding.
-    let rom = if machine.mul_units == 1 && machine.addsub_units == 1 {
-        Some(ControlRom::assemble(&trace, &sched, &allocation)?)
-    } else {
-        None
-    };
+    let (rom, prog) = lower(&trace, &sched, &allocation, machine)?;
     let fingerprint = KernelFingerprint {
         cycles: sched.makespan,
         lower_bound: lower_bound(&problem, machine),
@@ -498,27 +468,6 @@ fn finish_compile(
         register_pressure: sim.stats.register_pressure,
         mux_count: trace.muxes.len(),
     };
-    let base = trace.first_op_id();
-    let mut order: Vec<usize> = (0..trace.nodes.len()).collect();
-    order.sort_by_key(|&i| (sched.start[i], i));
-    let prog = order
-        .iter()
-        .map(|&i| {
-            let node = &trace.nodes[i];
-            let latency = match node.kind.unit() {
-                Unit::Multiplier => machine.mul_latency as u64,
-                Unit::AddSub => machine.addsub_latency as u64,
-            };
-            Step {
-                kind: node.kind,
-                a: node.a,
-                b: node.b,
-                dst: allocation.assignment[base + i],
-                start: sched.start[i],
-                finish: sched.start[i] + latency,
-            }
-        })
-        .collect();
     let kernel = CompiledKernel {
         curve: trace.curve,
         machine: *machine,
@@ -546,6 +495,44 @@ fn finish_compile(
     Ok(kernel)
 }
 
+/// Lowers a scheduled, register-allocated program to what the kernel
+/// plays back: the packed control ROM and the replay program.
+///
+/// A single-sequencer ROM exists only for single-instance units; wider
+/// machines keep the decoded schedule without a packed encoding. The
+/// replay program is the trace in issue order, each step carrying its
+/// destination register and its issue and write-back cycles.
+fn lower(
+    trace: &Trace,
+    sched: &Schedule,
+    allocation: &Allocation,
+    machine: &MachineConfig,
+) -> Result<(Option<ControlRom>, Vec<Step>), PipelineError> {
+    let rom = if machine.mul_units == 1 && machine.addsub_units == 1 {
+        Some(ControlRom::assemble(trace, sched, allocation)?)
+    } else {
+        None
+    };
+    let base = trace.first_op_id();
+    let mut order: Vec<usize> = (0..trace.nodes.len()).collect();
+    order.sort_by_key(|&i| (sched.start[i], i));
+    let prog = order
+        .into_iter()
+        .map(|i| {
+            let node = &trace.nodes[i];
+            Step {
+                kind: node.kind,
+                a: node.a,
+                b: node.b,
+                dst: allocation.assignment[base + i],
+                start: sched.start[i],
+                finish: sched.start[i] + machine.latency(node.kind.unit()),
+            }
+        })
+        .collect();
+    Ok((rom, prog))
+}
+
 impl CompiledKernel {
     /// Rebuilds this kernel around a replacement register allocation,
     /// re-deriving the ROM, the replay program and the
@@ -564,36 +551,7 @@ impl CompiledKernel {
     /// [`PipelineError::Assemble`] if the control ROM cannot be packed
     /// under the replacement allocation.
     pub fn with_allocation(&self, allocation: Allocation) -> Result<CompiledKernel, PipelineError> {
-        let rom = if self.machine.mul_units == 1 && self.machine.addsub_units == 1 {
-            Some(ControlRom::assemble(
-                &self.trace,
-                &self.schedule,
-                &allocation,
-            )?)
-        } else {
-            None
-        };
-        let base = self.trace.first_op_id();
-        let mut order: Vec<usize> = (0..self.trace.nodes.len()).collect();
-        order.sort_by_key(|&i| (self.schedule.start[i], i));
-        let prog: Vec<Step> = order
-            .iter()
-            .map(|&i| {
-                let node = &self.trace.nodes[i];
-                let latency = match node.kind.unit() {
-                    Unit::Multiplier => self.machine.mul_latency as u64,
-                    Unit::AddSub => self.machine.addsub_latency as u64,
-                };
-                Step {
-                    kind: node.kind,
-                    a: node.a,
-                    b: node.b,
-                    dst: allocation.assignment[base + i],
-                    start: self.schedule.start[i],
-                    finish: self.schedule.start[i] + latency,
-                }
-            })
-            .collect();
+        let (rom, prog) = lower(&self.trace, &self.schedule, &allocation, &self.machine)?;
         let mut fingerprint = self.fingerprint.clone();
         fingerprint.registers = allocation.num_registers;
         fingerprint.rom_bits = rom.as_ref().map(|r| r.size_bits()).unwrap_or(0);
@@ -633,13 +591,8 @@ impl CompiledKernel {
             return Ok(AffinePoint::identity());
         }
         let digits = fourq_trace::digit_stream(k);
-        let outs = self.replay_words(
-            &[("Px", Word::Fp2(base.x)), ("Py", Word::Fp2(base.y))],
-            &digits,
-        );
-        let x = out_word(&outs, "x").as_fp2();
-        let y = out_word(&outs, "y").as_fp2();
-        AffinePoint::new(x, y).map_err(|_| PipelineError::Diverged)
+        let out = self.replay(&[Word::Fp2(base.x), Word::Fp2(base.y)], &digits);
+        AffinePoint::new(out[0].as_fp2(), out[1].as_fp2()).map_err(|_| PipelineError::Diverged)
     }
 
     /// Executes an X25519 kernel: `scalar` is the raw RFC 7748 secret
@@ -664,10 +617,10 @@ impl CompiledKernel {
         let mut ub = *u;
         ub[31] &= 0x7f;
         let x1 = f.enter(U256::from_le_bytes(&ub));
-        let outs = self.replay_words(&[("U", Word::Fe(CurveId::X25519, x1))], &digits);
+        let out = self.replay(&[Word::Fe(CurveId::X25519, x1)], &digits);
         // The program's Montgomery exit already returned `x` to a plain
         // little-endian integer.
-        Ok(out_word(&outs, "x").as_fe().to_le_bytes())
+        Ok(out[0].as_fe().to_le_bytes())
     }
 
     /// Executes a P-256 kernel: `scalar` is little-endian, `point` the
@@ -700,16 +653,15 @@ impl CompiledKernel {
             let y = U256::from_le_bytes(point[32..].try_into().expect("32 bytes"));
             (f.enter(x), f.enter(y), f.enter(U256::ONE))
         };
-        let outs = self.replay_words(
+        let out = self.replay(
             &[
-                ("Px", Word::Fe(CurveId::P256, px)),
-                ("Py", Word::Fe(CurveId::P256, py)),
-                ("Pz", Word::Fe(CurveId::P256, pz)),
+                Word::Fe(CurveId::P256, px),
+                Word::Fe(CurveId::P256, py),
+                Word::Fe(CurveId::P256, pz),
             ],
             &digits,
         );
-        let x = out_word(&outs, "x").as_fe();
-        let y = out_word(&outs, "y").as_fe();
+        let (x, y) = (out[0].as_fe(), out[1].as_fe());
         let result = if x == U256::ZERO && y == U256::ZERO {
             Affine::Infinity
         } else {
@@ -767,26 +719,28 @@ impl CompiledKernel {
     }
 
     /// Replays the precompiled program through the physical register file
-    /// under a fresh digit stream, returning the named outputs.
+    /// under a fresh digit stream: the one physical-register executor.
     ///
-    /// `runtime` overrides the named inputs' recorded values (the curve
+    /// `runtime` binds by position to [`Trace::runtime_ids`] (the curve
     /// points); every other input keeps the constant captured at compile
-    /// time. This is the curve-agnostic core behind [`Self::execute`],
+    /// time. Returns the outputs in [`Trace::outputs`] order.
+    /// This is the curve-agnostic core behind [`Self::execute`],
     /// [`Self::execute_x25519`] and [`Self::execute_p256`].
-    fn replay_words(&self, runtime: &[(&str, Word)], digits: &DigitStream) -> Vec<(String, Word)> {
+    ///
+    /// One non-generic body on purpose: a const-generic `[Word; N]`
+    /// return measured about 1.4× slower per replay, on every curve, on a
+    /// 2-vCPU x86-64 box.
+    fn replay(&self, runtime: &[Word], digits: &DigitStream) -> Vec<Word> {
+        let trace = &self.trace;
         let assignment = &self.allocation.assignment;
-        let mut rf = vec![self.trace.zero_word(); self.allocation.num_registers];
-        for (id, (name, rep)) in self.trace.inputs.iter().enumerate() {
-            let v = runtime
-                .iter()
-                .find(|(n, _)| *n == name.as_str())
-                .map(|&(_, w)| w)
-                .unwrap_or(*rep); // constants keep their recorded value
-            rf[assignment[id] as usize] = v;
+        let mut rf = vec![trace.zero_word(); self.allocation.num_registers];
+        for (id, (_, rep)) in trace.inputs.iter().enumerate() {
+            let slot = trace.runtime_ids.iter().position(|&r| r == id);
+            // constants keep their recorded value
+            rf[assignment[id] as usize] = slot.map_or(*rep, |s| runtime[s]);
         }
-        // Pending-writeback replay (same timing model as
-        // `simulate_allocated`): a result finishing at cycle c is readable
-        // from cycle c on; idle cycles are skipped.
+        // Pending-writeback replay: a result finishing at cycle c is
+        // readable from cycle c on; idle cycles are skipped.
         let mut pending: Vec<(u64, u16, Word)> = Vec::new();
         for step in &self.prog {
             let cycle = step.start;
@@ -799,7 +753,7 @@ impl CompiledKernel {
                 }
             });
             let fetch =
-                |op: Operand| -> Word { rf[assignment[self.trace.resolve(op, digits)] as usize] };
+                |op: Operand| -> Word { rf[assignment[trace.resolve(op, digits)] as usize] };
             let a = fetch(step.a);
             let b = match (step.kind, step.b) {
                 (OpKind::Mul | OpKind::Add | OpKind::Sub, Some(op)) => Some(fetch(op)),
@@ -810,20 +764,12 @@ impl CompiledKernel {
         for (_, reg, v) in pending {
             rf[reg as usize] = v;
         }
-        self.trace
+        trace
             .outputs
             .iter()
-            .map(|(n, id)| (n.clone(), rf[assignment[*id] as usize]))
+            .map(|&(_, id)| rf[assignment[id] as usize])
             .collect()
     }
-}
-
-/// Looks up a named replay output.
-fn out_word(outs: &[(String, Word)], name: &str) -> Word {
-    outs.iter()
-        .find(|(n, _)| n == name)
-        .unwrap_or_else(|| panic!("kernel trace carries output {name:?}"))
-        .1
 }
 
 type KernelCache = Mutex<HashMap<(CurveId, MachineConfig, u32), &'static CompiledKernel>>;
@@ -999,12 +945,72 @@ mod tests {
     #[test]
     fn over_budget_register_allocation_is_reported() {
         let m = MachineConfig::paper();
-        match compile_with_budget(&m, 0, 8) {
+        match compile_trace(record_curve_trace(CurveId::FourQ), &m, 0, 8) {
             Err(PipelineError::RegisterBudget { needed, budget }) => {
                 assert_eq!(budget, 8);
                 assert!(needed > 8);
             }
             other => panic!("expected RegisterBudget, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn loop_body_replays_to_recorded_values() {
+        let t = fourq_trace::trace_double_add_iteration();
+        let m = MachineConfig::paper();
+        let kernel = compile_trace(t, &m, 16, DEFAULT_REGISTER_BUDGET).expect("compiles");
+        let t = &kernel.trace;
+        // Every loop-body input is a runtime input: bind the recorded ones.
+        let runtime: Vec<Word> = t.runtime_ids.iter().map(|&id| t.inputs[id].1).collect();
+        let outs = kernel.replay(&runtime, &t.digits);
+        assert_eq!(t.outputs.len(), outs.len());
+        for ((name, id), v) in t.outputs.iter().zip(outs) {
+            assert_eq!(v, t.values[*id], "output {name}");
+        }
+    }
+
+    #[test]
+    fn one_register_allocation_breaks_the_replay() {
+        // Everything in one register clobbers live values: the physical
+        // replay must produce wrong outputs.
+        let t = fourq_trace::trace_double_add_iteration();
+        let m = MachineConfig::paper();
+        let kernel = compile_trace(t, &m, 4, DEFAULT_REGISTER_BUDGET).expect("compiles");
+        let t = &kernel.trace;
+        let bogus = kernel
+            .with_allocation(Allocation {
+                assignment: vec![0; t.first_op_id() + t.nodes.len()],
+                num_registers: 1,
+            })
+            .expect("assembles");
+        let runtime: Vec<Word> = t.runtime_ids.iter().map(|&id| t.inputs[id].1).collect();
+        let outs = bogus.replay(&runtime, &t.digits);
+        let mismatch = t
+            .outputs
+            .iter()
+            .zip(outs)
+            .any(|((_, id), v)| v != t.values[*id]);
+        assert!(mismatch, "one-register allocation cannot be correct");
+    }
+
+    #[test]
+    fn runtime_inputs_and_outputs_bind_by_slot() {
+        // The replay binds `runtime` to `runtime_ids` by position and reads
+        // outputs in `outputs` order; pin both per curve.
+        for (curve, inputs, outputs) in [
+            (CurveId::FourQ, &["Px", "Py"][..], &["x", "y"][..]),
+            (CurveId::X25519, &["U"][..], &["x"][..]),
+            (CurveId::P256, &["Px", "Py", "Pz"][..], &["x", "y"][..]),
+        ] {
+            let t = record_curve_trace(curve);
+            let names: Vec<&str> = t
+                .runtime_ids
+                .iter()
+                .map(|&id| t.inputs[id].0.as_str())
+                .collect();
+            assert_eq!(names, inputs, "{curve} runtime inputs");
+            let names: Vec<&str> = t.outputs.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(names, outputs, "{curve} outputs");
         }
     }
 

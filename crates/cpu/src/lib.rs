@@ -47,22 +47,17 @@ mod vcd;
 
 pub use check::{verify, CheckLevel, GapMetrics, KernelDiag, VerifyReport, VERIFY_EFFORT};
 pub use kernel::{
-    compile, compile_curve, compile_curve_stitched, compile_curve_with_budget, compile_with_budget,
-    shared_kernel, shared_kernel_for, shared_stitched_kernel, CompiledKernel, KernelFingerprint,
-    PipelineError, StitchedKernel, DEFAULT_REGISTER_BUDGET,
+    compile, compile_curve, compile_curve_stitched, shared_kernel, shared_kernel_for,
+    shared_stitched_kernel, CompiledKernel, KernelFingerprint, PipelineError, StitchedKernel,
+    DEFAULT_REGISTER_BUDGET,
 };
 pub use regalloc::{
-    allocate, simulate_allocated, Allocation, AssembleError, ControlRom, ControlWord, RomRoute, Src,
+    allocate, register_pressure, Allocation, AssembleError, ControlRom, ControlWord, RomRoute, Src,
 };
 pub use vcd::export_vcd;
 
-/// Trace→problem translation now lives beside the scheduler in
-/// [`fourq_sched`]; re-exported here for one release so downstream code
-/// can migrate its imports.
-pub use fourq_sched::trace_to_problem;
-
 use fourq_curve::AffinePoint;
-use fourq_sched::{MachineConfig, Schedule, UnitKind};
+use fourq_sched::{MachineConfig, Schedule, Unit};
 use fourq_trace::{OpKind, Operand, Trace, Word};
 use std::collections::HashMap;
 use std::fmt;
@@ -119,7 +114,7 @@ pub enum SimError {
     /// A unit received two issues in one cycle (II = 1 violated).
     IssueConflict {
         /// The oversubscribed unit.
-        unit: UnitKind,
+        unit: Unit,
         /// The conflicting cycle.
         cycle: u64,
     },
@@ -182,35 +177,21 @@ pub fn simulate(
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&i| (sched.start[i], i));
 
-    let latency = |i: usize| -> u64 {
-        match trace.nodes[i].kind.unit() {
-            fourq_trace::Unit::Multiplier => machine.mul_latency as u64,
-            fourq_trace::Unit::AddSub => machine.addsub_latency as u64,
-        }
-    };
-
     // avail[id] = cycle at which the value can first be read (inputs: 0).
     let mut avail = vec![0u64; base + n];
     let mut values: Vec<Word> = trace.inputs.iter().map(|(_, v)| *v).collect();
     values.resize(base + n, trace.zero_word());
 
     let mut stats = SimStats::default();
-    let mut issue_guard: HashMap<(UnitKind, u64), usize> = HashMap::new();
+    let mut issue_guard: HashMap<(Unit, u64), usize> = HashMap::new();
 
     for &i in &order {
         let node = &trace.nodes[i];
         let cycle = sched.start[i];
-        let unit = match node.kind.unit() {
-            fourq_trace::Unit::Multiplier => UnitKind::Multiplier,
-            fourq_trace::Unit::AddSub => UnitKind::AddSub,
-        };
+        let unit = node.kind.unit();
         let slot = issue_guard.entry((unit, cycle)).or_default();
         *slot += 1;
-        let max_units = match unit {
-            UnitKind::Multiplier => machine.mul_units,
-            UnitKind::AddSub => machine.addsub_units,
-        };
-        if *slot > max_units {
+        if *slot > machine.units(unit) {
             return Err(SimError::IssueConflict { unit, cycle });
         }
 
@@ -255,12 +236,12 @@ pub fn simulate(
         };
         let result = Word::eval(node.kind, a, b);
         match unit {
-            UnitKind::Multiplier => stats.mul_issued += 1,
-            UnitKind::AddSub => stats.addsub_issued += 1,
+            Unit::Multiplier => stats.mul_issued += 1,
+            Unit::AddSub => stats.addsub_issued += 1,
         }
         let id = base + i;
         values[id] = result;
-        avail[id] = cycle + latency(i);
+        avail[id] = cycle + machine.latency(unit);
         stats.rf_writes += 1;
     }
 
@@ -283,62 +264,6 @@ pub fn simulate(
         outputs,
         stats,
     })
-}
-
-/// Peak number of simultaneously live `F_p²` values under a schedule: the
-/// size the register file must have. A value is live from the cycle it is
-/// produced until the last cycle it is read (program outputs stay live to
-/// the end; program inputs are live from cycle 0). Every candidate of a
-/// mux-routed operand counts as read at the consumer's issue cycle.
-pub fn register_pressure(trace: &Trace, sched: &Schedule, machine: &MachineConfig) -> usize {
-    let base = trace.first_op_id();
-    let n = trace.nodes.len();
-    let total = base + n;
-    let reach = trace.mux_reach();
-    let latency = |i: usize| -> u64 {
-        match trace.nodes[i].kind.unit() {
-            fourq_trace::Unit::Multiplier => machine.mul_latency as u64,
-            fourq_trace::Unit::AddSub => machine.addsub_latency as u64,
-        }
-    };
-    let mut born = vec![0u64; total];
-    let mut dies = vec![0u64; total];
-    for i in 0..n {
-        born[base + i] = sched.start[i] + latency(i);
-    }
-    for (i, node) in trace.nodes.iter().enumerate() {
-        let use_cycle = sched.start[i];
-        for op in core::iter::once(node.a).chain(node.b) {
-            match op {
-                Operand::Val(id) => dies[id] = dies[id].max(use_cycle),
-                Operand::Mux(m) => {
-                    for &id in &reach[m] {
-                        dies[id] = dies[id].max(use_cycle);
-                    }
-                }
-            }
-        }
-    }
-    for (_, id) in &trace.outputs {
-        dies[*id] = dies[*id].max(sched.makespan);
-    }
-    // sweep
-    let mut events: Vec<(u64, i64)> = Vec::with_capacity(2 * total);
-    for id in 0..total {
-        if dies[id] < born[id] {
-            continue; // dead value (never read): occupies a write slot only
-        }
-        events.push((born[id], 1));
-        events.push((dies[id] + 1, -1));
-    }
-    events.sort_unstable();
-    let mut live = 0i64;
-    let mut peak = 0i64;
-    for (_, delta) in events {
-        live += delta;
-        peak = peak.max(live);
-    }
-    peak as usize
 }
 
 /// Full pipeline result for one scalar multiplication: trace statistics,
@@ -420,7 +345,7 @@ pub fn simulate_scalar_mul_for(
 mod tests {
     use super::*;
     use fourq_fp::Scalar;
-    use fourq_sched::{lower_bound, schedule};
+    use fourq_sched::{lower_bound, schedule, trace_to_problem};
 
     #[test]
     fn loop_iteration_simulates_and_checks() {

@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn vcd_export_is_well_formed() {
         let t = fourq_trace::trace_double_add_iteration();
-        let p = crate::trace_to_problem(&t);
+        let p = fourq_sched::trace_to_problem(&t);
         let m = MachineConfig::paper();
         let s = schedule(&p, &m, 8);
         let vcd = export_vcd(&t, &s, &m).expect("export");

@@ -185,7 +185,7 @@ fn pippenger_window_sum(
 ///
 /// Every window's bucket accumulation is independent of every other
 /// window's, so the windows are the parallel axis: workers compute
-/// window partials over fixed [`MSM_WINDOW_CHUNK`]-window index ranges,
+/// window partials over fixed `MSM_WINDOW_CHUNK`-window index ranges,
 /// and the calling thread folds the partials high-to-low through the
 /// shared doubling chain (`acc ← [2^c]acc + partial_w`) — a reduction
 /// whose order is fixed by the window index, not by thread scheduling.

@@ -17,10 +17,7 @@ fn kernel() -> &'static CompiledKernel {
 }
 
 fn latency(k: &CompiledKernel, i: usize) -> u64 {
-    match k.trace.nodes[i].kind.unit() {
-        Unit::Multiplier => k.machine.mul_latency as u64,
-        Unit::AddSub => k.machine.addsub_latency as u64,
-    }
+    k.machine.latency(k.trace.nodes[i].kind.unit())
 }
 
 fn finish(k: &CompiledKernel, i: usize) -> u64 {

@@ -1,12 +1,11 @@
 //! Bridge from a recorded `fourq-trace` program to a scheduling
 //! [`Problem`].
 //!
-//! This lived in `fourq-cpu` historically, but it is a pure
-//! trace→scheduling translation with no simulator involvement, so it
-//! belongs beside the scheduler (the cpu crate re-exports it for one
-//! release).
+//! It is a pure trace→scheduling translation with no simulator
+//! involvement, so it sits beside the scheduler. Each job keeps the
+//! trace's own [`Unit`](crate::Unit).
 
-use crate::{Job, Problem, UnitKind};
+use crate::{Job, Problem};
 use fourq_trace::{Operand, Trace};
 
 /// Converts a trace into a scheduling [`Problem`].
@@ -31,10 +30,6 @@ pub fn trace_to_problem(trace: &Trace) -> Problem {
         .nodes
         .iter()
         .map(|n| {
-            let unit = match n.kind.unit() {
-                fourq_trace::Unit::Multiplier => UnitKind::Multiplier,
-                fourq_trace::Unit::AddSub => UnitKind::AddSub,
-            };
             let mut deps = Vec::with_capacity(2);
             let mut order_deps = Vec::new();
             let mut input_operands = 0usize;
@@ -59,7 +54,7 @@ pub fn trace_to_problem(trace: &Trace) -> Problem {
             order_deps.dedup();
             order_deps.retain(|d| !deps.contains(d));
             Job {
-                unit,
+                unit: n.kind.unit(),
                 deps,
                 order_deps,
                 input_operands,

@@ -11,7 +11,7 @@
 //! runs out).
 
 use crate::{
-    critical_path_priorities, lower_bound, schedule, MachineConfig, Problem, Schedule, UnitKind,
+    critical_path_priorities, lower_bound, schedule, MachineConfig, Problem, Schedule, Unit,
 };
 use std::collections::HashMap;
 
@@ -45,7 +45,7 @@ struct Searcher<'a> {
 
 impl<'a> Searcher<'a> {
     fn latency(&self, i: usize) -> u64 {
-        self.machine.latency(self.problem.jobs[i].unit) as u64
+        self.machine.latency(self.problem.jobs[i].unit)
     }
 
     /// Chronological DFS. `start[i] == u64::MAX` means unscheduled;
@@ -83,20 +83,15 @@ impl<'a> Searcher<'a> {
             if start[i] == u64::MAX {
                 lb = lb.max(earliest[i].max(cycle) + self.cp_down[i]);
                 match self.problem.jobs[i].unit {
-                    UnitKind::Multiplier => remaining[0] += 1,
-                    UnitKind::AddSub => remaining[1] += 1,
+                    Unit::Multiplier => remaining[0] += 1,
+                    Unit::AddSub => remaining[1] += 1,
                 }
             }
         }
-        for (ui, unit) in [UnitKind::Multiplier, UnitKind::AddSub]
-            .into_iter()
-            .enumerate()
-        {
+        for (ui, unit) in [Unit::Multiplier, Unit::AddSub].into_iter().enumerate() {
             if remaining[ui] > 0 {
                 let units = self.machine.units(unit).max(1) as u64;
-                lb = lb.max(
-                    cycle + remaining[ui].div_ceil(units) + self.machine.latency(unit) as u64 - 1,
-                );
+                lb = lb.max(cycle + remaining[ui].div_ceil(units) + self.machine.latency(unit) - 1);
             }
         }
         if lb >= self.best_makespan {
@@ -109,8 +104,8 @@ impl<'a> Searcher<'a> {
         for i in 0..n {
             if start[i] == u64::MAX && preds_left[i] == 0 && earliest[i] <= cycle {
                 match self.problem.jobs[i].unit {
-                    UnitKind::Multiplier => mul_ready.push(i),
-                    UnitKind::AddSub => add_ready.push(i),
+                    Unit::Multiplier => mul_ready.push(i),
+                    Unit::AddSub => add_ready.push(i),
                 }
             }
         }
@@ -320,7 +315,7 @@ mod tests {
 
     fn mul(deps: Vec<usize>, inputs: usize) -> Job {
         Job {
-            unit: UnitKind::Multiplier,
+            unit: Unit::Multiplier,
             deps,
             order_deps: vec![],
             input_operands: inputs,
@@ -328,7 +323,7 @@ mod tests {
     }
     fn add(deps: Vec<usize>, inputs: usize) -> Job {
         Job {
-            unit: UnitKind::AddSub,
+            unit: Unit::AddSub,
             deps,
             order_deps: vec![],
             input_operands: inputs,

@@ -18,18 +18,18 @@
 //! # Example
 //!
 //! ```
-//! use fourq_sched::{Job, MachineConfig, Problem, UnitKind, schedule};
+//! use fourq_sched::{Job, MachineConfig, Problem, Unit, schedule};
 //!
 //! // c = a*b; d = c + c
 //! let problem = Problem::new(vec![
-//!     Job { unit: UnitKind::Multiplier, deps: vec![], order_deps: vec![], input_operands: 2 },
-//!     Job { unit: UnitKind::AddSub, deps: vec![0], order_deps: vec![], input_operands: 0 },
+//!     Job { unit: Unit::Multiplier, deps: vec![], order_deps: vec![], input_operands: 2 },
+//!     Job { unit: Unit::AddSub, deps: vec![0], order_deps: vec![], input_operands: 0 },
 //! ]);
 //! let machine = MachineConfig::paper();
 //! let s = schedule(&problem, &machine, 8);
 //! s.validate(&problem, &machine).unwrap();
 //! assert_eq!(s.start[0], 0);
-//! assert_eq!(s.start[1], machine.mul_latency as u64);
+//! assert_eq!(s.start[1], machine.latency(Unit::Multiplier));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,20 +39,15 @@
 use std::collections::HashMap;
 use std::fmt;
 
-/// The two arithmetic units of the datapath.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum UnitKind {
-    /// Pipelined Karatsuba `F_p²` multiplier.
-    Multiplier,
-    /// `F_p²` adder/subtractor.
-    AddSub,
-}
+/// The two arithmetic units of the datapath: the tracer's own unit, so
+/// the recorded program and the machine model name units one way.
+pub use fourq_trace::Unit;
 
 /// One microinstruction to schedule.
 #[derive(Clone, Debug)]
 pub struct Job {
     /// Unit the operation issues on.
-    pub unit: UnitKind,
+    pub unit: Unit,
     /// Indices of producer jobs whose results this job consumes
     /// *directly* (forwardable data edges).
     pub deps: Vec<usize>,
@@ -164,19 +159,21 @@ impl MachineConfig {
         }
     }
 
-    /// Latency of a unit.
-    pub fn latency(&self, unit: UnitKind) -> u32 {
+    /// Latency of a unit in cycles: the one latency rule of the machine
+    /// model, shared by the scheduler, the simulator, the register
+    /// allocator and the kernel replay.
+    pub fn latency(&self, unit: Unit) -> u64 {
         match unit {
-            UnitKind::Multiplier => self.mul_latency,
-            UnitKind::AddSub => self.addsub_latency,
+            Unit::Multiplier => self.mul_latency as u64,
+            Unit::AddSub => self.addsub_latency as u64,
         }
     }
 
     /// Instance count of a unit.
-    pub fn units(&self, unit: UnitKind) -> usize {
+    pub fn units(&self, unit: Unit) -> usize {
         match unit {
-            UnitKind::Multiplier => self.mul_units,
-            UnitKind::AddSub => self.addsub_units,
+            Unit::Multiplier => self.mul_units,
+            Unit::AddSub => self.addsub_units,
         }
     }
 }
@@ -209,7 +206,7 @@ pub enum ScheduleError {
     /// More jobs issued on a unit in one cycle than instances exist.
     UnitOversubscribed {
         /// The saturated unit.
-        unit: UnitKind,
+        unit: Unit,
         /// The cycle where it happened.
         cycle: u64,
     },
@@ -266,16 +263,16 @@ impl Schedule {
         if self.start.len() != problem.len() {
             return Err(ScheduleError::WrongLength);
         }
-        let mut issue: HashMap<(UnitKind, u64), usize> = HashMap::new();
+        let mut issue: HashMap<(Unit, u64), usize> = HashMap::new();
         let mut reads: HashMap<u64, u32> = HashMap::new();
         let mut writes: HashMap<u64, u32> = HashMap::new();
         let mut makespan = 0u64;
         for (i, job) in problem.jobs.iter().enumerate() {
             let s = self.start[i];
-            let lat = machine.latency(job.unit) as u64;
+            let lat = machine.latency(job.unit);
             makespan = makespan.max(s + lat);
             for d in job.all_deps() {
-                let dep_finish = self.start[d] + machine.latency(problem.jobs[d].unit) as u64;
+                let dep_finish = self.start[d] + machine.latency(problem.jobs[d].unit);
                 if s < dep_finish {
                     return Err(ScheduleError::DependencyViolation { job: i, dep: d });
                 }
@@ -283,7 +280,7 @@ impl Schedule {
             *issue.entry((job.unit, s)).or_default() += 1;
             let mut rf_reads = job.input_operands as u32;
             for &d in &job.deps {
-                let dep_finish = self.start[d] + machine.latency(problem.jobs[d].unit) as u64;
+                let dep_finish = self.start[d] + machine.latency(problem.jobs[d].unit);
                 let forwarded = machine.forwarding && dep_finish == s;
                 if !forwarded {
                     rf_reads += 1;
@@ -326,7 +323,7 @@ pub fn critical_path_priorities(problem: &Problem, machine: &MachineConfig) -> V
     }
     let mut prio = vec![0u64; n];
     for i in (0..n).rev() {
-        let lat = machine.latency(problem.jobs[i].unit) as u64;
+        let lat = machine.latency(problem.jobs[i].unit);
         let down = succs[i].iter().map(|&s| prio[s]).max().unwrap_or(0);
         prio[i] = lat + down;
     }
@@ -391,11 +388,11 @@ pub fn lower_bound(problem: &Problem, machine: &MachineConfig) -> u64 {
         .max()
         .unwrap_or(0);
     let mut bound = cp;
-    for unit in [UnitKind::Multiplier, UnitKind::AddSub] {
+    for unit in [Unit::Multiplier, Unit::AddSub] {
         let ops = problem.jobs.iter().filter(|j| j.unit == unit).count();
         if ops > 0 {
             let units = machine.units(unit).max(1);
-            let b = ops.div_ceil(units) as u64 + machine.latency(unit) as u64 - 1;
+            let b = ops.div_ceil(units) as u64 + machine.latency(unit) - 1;
             bound = bound.max(b);
         }
     }
@@ -464,7 +461,7 @@ pub fn list_schedule(problem: &Problem, machine: &MachineConfig, priority: &[u64
              ({scheduled}/{n} scheduled) — machine cannot execute this program"
         );
         // candidates issueable this cycle, grouped per unit
-        for unit in [UnitKind::Multiplier, UnitKind::AddSub] {
+        for unit in [Unit::Multiplier, Unit::AddSub] {
             let mut slots = machine.units(unit);
             while slots > 0 {
                 // pick best candidate for this unit at this cycle
@@ -476,12 +473,12 @@ pub fn list_schedule(problem: &Problem, machine: &MachineConfig, priority: &[u64
                     // port feasibility
                     let mut rf_reads = problem.jobs[i].input_operands as u32;
                     for &d in &problem.jobs[i].deps {
-                        let dep_finish = start[d] + machine.latency(problem.jobs[d].unit) as u64;
+                        let dep_finish = start[d] + machine.latency(problem.jobs[d].unit);
                         if !(machine.forwarding && dep_finish == cycle) {
                             rf_reads += 1;
                         }
                     }
-                    let lat = machine.latency(unit) as u64;
+                    let lat = machine.latency(unit);
                     if reads_used.get(&cycle).copied().unwrap_or(0) + rf_reads > machine.read_ports
                     {
                         continue;
@@ -502,12 +499,12 @@ pub fn list_schedule(problem: &Problem, machine: &MachineConfig, priority: &[u64
                 }
                 let Some(i) = best else { break };
                 // commit
-                let lat = machine.latency(unit) as u64;
+                let lat = machine.latency(unit);
                 start[i] = cycle;
                 makespan = makespan.max(cycle + lat);
                 let mut rf_reads = problem.jobs[i].input_operands as u32;
                 for &d in &problem.jobs[i].deps {
-                    let dep_finish = start[d] + machine.latency(problem.jobs[d].unit) as u64;
+                    let dep_finish = start[d] + machine.latency(problem.jobs[d].unit);
                     if !(machine.forwarding && dep_finish == cycle) {
                         rf_reads += 1;
                     }
@@ -540,7 +537,7 @@ pub fn serial_schedule(problem: &Problem, machine: &MachineConfig) -> Schedule {
     let mut t = 0u64;
     for j in &problem.jobs {
         start.push(t);
-        t += machine.latency(j.unit) as u64;
+        t += machine.latency(j.unit);
     }
     Schedule { start, makespan: t }
 }
@@ -611,7 +608,7 @@ mod tests {
 
     fn mul(deps: Vec<usize>, inputs: usize) -> Job {
         Job {
-            unit: UnitKind::Multiplier,
+            unit: Unit::Multiplier,
             deps,
             order_deps: vec![],
             input_operands: inputs,
@@ -619,7 +616,7 @@ mod tests {
     }
     fn add(deps: Vec<usize>, inputs: usize) -> Job {
         Job {
-            unit: UnitKind::AddSub,
+            unit: Unit::AddSub,
             deps,
             order_deps: vec![],
             input_operands: inputs,
@@ -747,9 +744,9 @@ mod tests {
         let mut jobs = Vec::new();
         for i in 0..40usize {
             let unit = if i % 3 == 0 {
-                UnitKind::AddSub
+                Unit::AddSub
             } else {
-                UnitKind::Multiplier
+                Unit::Multiplier
             };
             let deps = if i < 4 { vec![] } else { vec![i - 4, i - 3] };
             let input_operands = if deps.is_empty() { 2 } else { 0 };
@@ -791,7 +788,7 @@ mod tests {
             mul(vec![], 2),
             mul(vec![], 2),
             Job {
-                unit: UnitKind::AddSub,
+                unit: Unit::AddSub,
                 deps: vec![],
                 order_deps: vec![0, 1],
                 input_operands: 1,
@@ -801,7 +798,7 @@ mod tests {
         let s = schedule(&p, &m, 4);
         s.validate(&p, &m).unwrap();
         // Both producers (latency 2, pipelined at 0 and 1) finish by 3.
-        let fin = s.start[0].max(s.start[1]) + m.mul_latency as u64;
+        let fin = s.start[0].max(s.start[1]) + m.latency(Unit::Multiplier);
         assert!(s.start[2] >= fin, "mux consumer issued before candidates");
 
         // A schedule violating an order edge is rejected like a data edge.
@@ -819,7 +816,7 @@ mod tests {
     #[should_panic(expected = "non-earlier")]
     fn problem_rejects_forward_order_deps() {
         let _ = Problem::new(vec![Job {
-            unit: UnitKind::Multiplier,
+            unit: Unit::Multiplier,
             deps: vec![],
             order_deps: vec![0],
             input_operands: 1,

@@ -28,7 +28,7 @@
 
 use crate::{
     critical_path_priorities, exact_schedule, list_schedule, lower_bound, Job, MachineConfig,
-    Problem, Schedule, UnitKind,
+    Problem, Schedule, Unit,
 };
 use std::collections::HashMap;
 
@@ -222,7 +222,7 @@ fn sub_reads(sub: &Problem, sched: &Schedule, machine: &MachineConfig, j: usize)
     let mut reads = job.input_operands as u32;
     let s = sched.start[j];
     for &d in &job.deps {
-        let dep_finish = sched.start[d] + machine.latency(sub.jobs[d].unit) as u64;
+        let dep_finish = sched.start[d] + machine.latency(sub.jobs[d].unit);
         if !(machine.forwarding && dep_finish == s) {
             reads += 1;
         }
@@ -271,7 +271,7 @@ pub fn stitched_exact_schedule(
     let segments = opts.segments.clamp(1, n);
 
     // Global occupancy of the already-stitched prefix.
-    let mut issue: HashMap<(UnitKind, u64), usize> = HashMap::new();
+    let mut issue: HashMap<(Unit, u64), usize> = HashMap::new();
     let mut reads: HashMap<u64, u32> = HashMap::new();
     let mut writes: HashMap<u64, u32> = HashMap::new();
     let mut finish = vec![0u64; n]; // global finish cycle per placed job
@@ -311,7 +311,7 @@ pub fn stitched_exact_schedule(
         // co-issue, or writes from different issue cycles retiring
         // together) could each fit beside the prefix individually while
         // their sum busts a port.
-        let mut win_issue: HashMap<(UnitKind, u64), usize> = HashMap::new();
+        let mut win_issue: HashMap<(Unit, u64), usize> = HashMap::new();
         let mut win_reads: HashMap<u64, u32> = HashMap::new();
         let mut win_writes: HashMap<u64, u32> = HashMap::new();
         for j in 0..sub.len() {
@@ -319,9 +319,7 @@ pub fn stitched_exact_schedule(
             let unit = sub.jobs[j].unit;
             *win_issue.entry((unit, c)).or_default() += 1;
             *win_reads.entry(c).or_default() += job_reads[j];
-            *win_writes
-                .entry(c + machine.latency(unit) as u64)
-                .or_default() += 1;
+            *win_writes.entry(c + machine.latency(unit)).or_default() += 1;
         }
 
         // Smallest feasible offset: start from the cross-window
@@ -363,7 +361,7 @@ pub fn stitched_exact_schedule(
         }
         for j in 0..sub.len() {
             let c = delta + sched.start[j];
-            let lat = machine.latency(sub.jobs[j].unit) as u64;
+            let lat = machine.latency(sub.jobs[j].unit);
             start[lo + j] = c;
             finish[lo + j] = c + lat;
             makespan = makespan.max(c + lat);
@@ -394,7 +392,7 @@ mod tests {
 
     fn mul(deps: Vec<usize>, inputs: usize) -> Job {
         Job {
-            unit: UnitKind::Multiplier,
+            unit: Unit::Multiplier,
             deps,
             order_deps: vec![],
             input_operands: inputs,
@@ -402,7 +400,7 @@ mod tests {
     }
     fn add(deps: Vec<usize>, inputs: usize) -> Job {
         Job {
-            unit: UnitKind::AddSub,
+            unit: Unit::AddSub,
             deps,
             order_deps: vec![],
             input_operands: inputs,
@@ -420,7 +418,7 @@ mod tests {
             jobs.push(mul(vec![base], 0));
             jobs.push(add(vec![base, base + 1], 0));
             jobs.push(Job {
-                unit: UnitKind::AddSub,
+                unit: Unit::AddSub,
                 deps: vec![base + 2],
                 order_deps: if i > 0 { vec![0, 1] } else { vec![] },
                 input_operands: 1, // mux read

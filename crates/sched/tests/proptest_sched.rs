@@ -7,7 +7,7 @@
 
 use fourq_sched::{
     critical_path_priorities, list_schedule, lower_bound, schedule, serial_schedule, Job,
-    MachineConfig, Problem, UnitKind,
+    MachineConfig, Problem, Unit,
 };
 use fourq_testkit::{prop_check, TestRng};
 
@@ -27,9 +27,9 @@ fn arb_problem(rng: &mut TestRng) -> Problem {
     let jobs = (0..n)
         .map(|i| {
             let unit = if next() % 5 < 3 {
-                UnitKind::Multiplier
+                Unit::Multiplier
             } else {
-                UnitKind::AddSub
+                Unit::AddSub
             };
             let mut deps = Vec::new();
             if i > 0 {

@@ -161,7 +161,7 @@ impl DigitStream {
 ///
 /// Traces store base-field elements in Montgomery form so every recorded
 /// `Mul` costs exactly one hardware Montgomery multiplication — the same
-/// cost model the paper's Table II competitors ([17]/[18]) are built on.
+/// cost model the paper's Table II competitors (\[17\]/\[18\]) are built on.
 ///
 /// # Panics
 ///

@@ -23,6 +23,11 @@ cargo fmt --all -- --check
 step "cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
+# Rustdoc with warnings denied: catches a doc link left dangling when
+# the item it names is deleted or made private.
+step "cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 step "cargo build --release"
 cargo build --release
 
