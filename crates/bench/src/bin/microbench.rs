@@ -25,6 +25,12 @@
 //! the `multi_curve` group is in the run, the same floor applies to
 //! every curve's `(curve, machine, effort)` cache entry.
 //!
+//! `--gate-replay` fails the run when the warm compiled-kernel replay
+//! (`asic_pipeline/execute_warm`) costs more than 1.6× the native
+//! variable-base engine timed in alternating samples with it
+//! (`asic_pipeline/native_variable_base`). Both are single-thread, so the
+//! gate is hard on every box.
+//!
 //! `--gate-fleet` fails the run when the modeled 4-core fleet (2 ROM
 //! ports) falls below 2× the single-core modeled throughput — the
 //! tripwire for ROM-port arbitration in the capacity planner's fleet
@@ -32,8 +38,9 @@
 //!
 //! `--compare BASELINE.json` re-parses a previous report and fails when
 //! the median slowdown within any of `scalar_ops`, `parallel_ops` or
-//! `asic_pipeline` exceeds 25%. Alert-only when the baseline was
-//! recorded on hardware with a different `hw_threads` count.
+//! `asic_pipeline` exceeds 25%. Each matched baseline record is judged by
+//! its own `hw_threads`: records from hardware with a different count
+//! are alert-only.
 //!
 //! `--filter` accepts a comma-separated list of group-name substrings,
 //! so the CI regression stage can run exactly
@@ -61,17 +68,19 @@ fn default_out() -> PathBuf {
 /// normalisation, or the batch pipeline has lost its reason to exist.
 const GATE_BATCH_RATIO: f64 = 0.5;
 
+/// The median ns/op of `group`/`name` in this run.
+fn ns_per_op(report: &BenchReport, group: &str, name: &str) -> Result<f64, String> {
+    report
+        .results
+        .iter()
+        .find(|r| r.group == group && r.name == name)
+        .map(|r| r.ns_per_op)
+        .ok_or(format!("gate: {group}/{name} missing from this run"))
+}
+
 fn gate_batch(report: &BenchReport) -> Result<(), String> {
-    let lookup = |name: &str| -> Result<f64, String> {
-        report
-            .results
-            .iter()
-            .find(|r| r.group == "batch_ops" && r.name == name)
-            .map(|r| r.ns_per_op)
-            .ok_or(format!("gate: batch_ops/{name} missing from this run"))
-    };
-    let single = lookup("to_affine_single")?;
-    let per_point = lookup("batch_to_affine_n64_per_point")?;
+    let single = ns_per_op(report, "batch_ops", "to_affine_single")?;
+    let per_point = ns_per_op(report, "batch_ops", "batch_to_affine_n64_per_point")?;
     let ratio = per_point / single;
     eprintln!(
         "gate: batch_to_affine {per_point:.1} ns/point vs single {single:.1} ns \
@@ -149,14 +158,7 @@ fn gate_parallel(report: &BenchReport) -> Result<(), String> {
 const GATE_KERNEL_CACHE_MIN: f64 = 10.0;
 
 fn gate_kernel_cache(report: &BenchReport) -> Result<(), String> {
-    let lookup = |group: &str, name: &str| -> Result<f64, String> {
-        report
-            .results
-            .iter()
-            .find(|r| r.group == group && r.name == name)
-            .map(|r| r.ns_per_op)
-            .ok_or(format!("gate: {group}/{name} missing from this run"))
-    };
+    let lookup = |group: &str, name: &str| ns_per_op(report, group, name);
     let check = |label: &str, cold: f64, warm: f64| -> Result<(), String> {
         let ratio = (cold + warm) / warm;
         eprintln!(
@@ -191,6 +193,34 @@ fn gate_kernel_cache(report: &BenchReport) -> Result<(), String> {
         }
     } else {
         eprintln!("gate: multi_curve group absent from this run — per-curve cache not gated");
+    }
+    Ok(())
+}
+
+/// The replay gate (`--gate-replay`): a warm compiled-kernel Fourℚ
+/// execute may cost at most this multiple of the native variable-base
+/// scalar multiplication. The two are timed in alternating samples
+/// (`fourq_bench::harness::run_pair`), so a change in host speed between
+/// them cannot move the ratio. Both are one thread of field arithmetic,
+/// so the ratio does not depend on the core count and the gate is hard
+/// everywhere.
+const GATE_REPLAY_MAX: f64 = 1.6;
+
+fn gate_replay(report: &BenchReport) -> Result<(), String> {
+    let replay = ns_per_op(report, "asic_pipeline", "execute_warm")?;
+    let native = ns_per_op(report, "asic_pipeline", "native_variable_base")?;
+    let ratio = replay / native;
+    eprintln!(
+        "gate: kernel replay {:.1} us vs native engine {:.1} us \
+         (ratio {ratio:.2}x, limit {GATE_REPLAY_MAX}x)",
+        replay / 1e3,
+        native / 1e3
+    );
+    if ratio > GATE_REPLAY_MAX {
+        return Err(format!(
+            "gate: warm kernel replay costs {ratio:.2}x the native engine \
+             (limit {GATE_REPLAY_MAX}x)"
+        ));
     }
     Ok(())
 }
@@ -261,85 +291,99 @@ fn gate_fleet(report: &BenchReport) -> Result<(), String> {
 /// compared against the baseline file; the run fails when a group's
 /// *median* slowdown exceeds [`COMPARE_MAX_REGRESSION`]. The median makes
 /// the gate robust to one noisy bench without letting a real across-the-
-/// board regression hide. When the baseline was recorded on different
-/// hardware (`hw_threads` mismatch) the comparison is alert-only —
-/// cross-machine ns/op deltas are not regressions.
+/// board regression hide. Each matched baseline record is judged by its
+/// own `hw_threads`: one recorded on a different count is compared
+/// alert-only (cross-machine ns/op deltas are not regressions), one on the
+/// same count — or predating `hw_threads` recording — hard. The two
+/// kinds get separate medians.
 const COMPARE_GROUPS: [&str; 3] = ["scalar_ops", "parallel_ops", "asic_pipeline"];
 const COMPARE_MAX_REGRESSION: f64 = 0.25;
+
+/// What a comparison found: `failures` fail the run, `alerts` only
+/// report.
+#[derive(Debug, Default, PartialEq)]
+struct CompareOutcome {
+    failures: Vec<String>,
+    alerts: Vec<String>,
+}
+
+fn compare_reports(report: &BenchReport, base: &BenchReport, cur_hw: u32) -> CompareOutcome {
+    let mut outcome = CompareOutcome::default();
+    for group in COMPARE_GROUPS {
+        // (ratio, name) per matched bench, split by hardware match.
+        let mut hard: Vec<(f64, String)> = Vec::new();
+        let mut soft: Vec<(f64, String)> = Vec::new();
+        for cur in report.results.iter().filter(|r| r.group == group) {
+            let matched = base
+                .results
+                .iter()
+                .find(|b| b.group == cur.group && b.name == cur.name && b.threads == cur.threads);
+            if let Some(b) = matched.filter(|b| b.ns_per_op > 0.0) {
+                let same_hw = b.hw_threads == 0 || b.hw_threads == cur_hw;
+                let bucket = if same_hw { &mut hard } else { &mut soft };
+                bucket.push((cur.ns_per_op / b.ns_per_op, cur.name.clone()));
+            }
+        }
+        if hard.is_empty() && soft.is_empty() {
+            eprintln!("compare: {group}: no overlapping benches with the baseline, skipping");
+            continue;
+        }
+        for (ratios, alert_only) in [(hard, false), (soft, true)] {
+            if ratios.is_empty() {
+                continue;
+            }
+            let mut sorted: Vec<f64> = ratios.iter().map(|(r, _)| *r).collect();
+            sorted.sort_by(|a, b| a.total_cmp(b));
+            let median = sorted[sorted.len() / 2];
+            let worst = ratios
+                .iter()
+                .max_by(|a, b| a.0.total_cmp(&b.0))
+                .expect("non-empty ratios");
+            let kind = if alert_only {
+                "other-hardware, alert-only"
+            } else {
+                "same hardware"
+            };
+            eprintln!(
+                "compare: {group} ({kind}): median {:+.1}% over {} benches (worst {:+.1}% in {})",
+                (median - 1.0) * 100.0,
+                ratios.len(),
+                (worst.0 - 1.0) * 100.0,
+                worst.1
+            );
+            if median - 1.0 > COMPARE_MAX_REGRESSION {
+                let msg = format!(
+                    "compare: {group} median regression {:+.1}% exceeds the {:.0}% limit",
+                    (median - 1.0) * 100.0,
+                    COMPARE_MAX_REGRESSION * 100.0
+                );
+                if alert_only {
+                    outcome
+                        .alerts
+                        .push(format!("{msg} (alert-only: hardware mismatch)"));
+                } else {
+                    outcome.failures.push(msg);
+                }
+            }
+        }
+    }
+    outcome
+}
 
 fn compare_baseline(report: &BenchReport, path: &std::path::Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("compare: cannot read {}: {e}", path.display()))?;
     let base = BenchReport::from_json(&text)
         .map_err(|e| format!("compare: cannot parse {}: {e}", path.display()))?;
-
-    let cur_hw = fourq_bench::harness::hw_threads();
-    let base_hw = base
-        .results
-        .iter()
-        .map(|r| r.hw_threads)
-        .find(|&h| h != 0)
-        .unwrap_or(0);
-    let alert_only = base_hw != 0 && base_hw != cur_hw;
-    if alert_only {
-        eprintln!(
-            "compare: baseline recorded on {base_hw} hardware thread(s), this machine has \
-             {cur_hw} — reporting alert-only"
-        );
-    } else if base_hw == 0 {
-        eprintln!("compare: baseline predates hw_threads recording; comparing anyway");
+    let outcome = compare_reports(report, &base, fourq_bench::harness::hw_threads());
+    for alert in &outcome.alerts {
+        eprintln!("{alert}");
     }
-
-    let mut failures = Vec::new();
-    for group in COMPARE_GROUPS {
-        let mut ratios: Vec<(f64, String)> = Vec::new();
-        for cur in report.results.iter().filter(|r| r.group == group) {
-            let matched = base
-                .results
-                .iter()
-                .find(|b| b.group == cur.group && b.name == cur.name && b.threads == cur.threads);
-            if let Some(b) = matched {
-                if b.ns_per_op > 0.0 {
-                    ratios.push((cur.ns_per_op / b.ns_per_op, cur.name.clone()));
-                }
-            }
-        }
-        if ratios.is_empty() {
-            eprintln!("compare: {group}: no overlapping benches with the baseline, skipping");
-            continue;
-        }
-        let mut sorted: Vec<f64> = ratios.iter().map(|(r, _)| *r).collect();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let median = sorted[sorted.len() / 2];
-        let worst = ratios
-            .iter()
-            .max_by(|a, b| a.0.total_cmp(&b.0))
-            .expect("non-empty ratios");
-        eprintln!(
-            "compare: {group}: median {:+.1}% over {} benches (worst {:+.1}% in {})",
-            (median - 1.0) * 100.0,
-            ratios.len(),
-            (worst.0 - 1.0) * 100.0,
-            worst.1
-        );
-        if median - 1.0 > COMPARE_MAX_REGRESSION {
-            failures.push(format!(
-                "compare: {group} median regression {:+.1}% exceeds the {:.0}% limit",
-                (median - 1.0) * 100.0,
-                COMPARE_MAX_REGRESSION * 100.0
-            ));
-        }
+    if outcome.failures.is_empty() {
+        Ok(())
+    } else {
+        Err(outcome.failures.join("\n"))
     }
-    if failures.is_empty() {
-        return Ok(());
-    }
-    if alert_only {
-        for f in &failures {
-            eprintln!("{f} (alert-only: hardware mismatch)");
-        }
-        return Ok(());
-    }
-    Err(failures.join("\n"))
 }
 
 fn main() {
@@ -349,6 +393,7 @@ fn main() {
     let mut gate_par = false;
     let mut gate_kernel = false;
     let mut gate_fleet_flag = false;
+    let mut gate_replay_flag = false;
     let mut compare: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -364,6 +409,7 @@ fn main() {
             "--gate-parallel" => gate_par = true,
             "--gate-kernel-cache" => gate_kernel = true,
             "--gate-fleet" => gate_fleet_flag = true,
+            "--gate-replay" => gate_replay_flag = true,
             "--compare" => {
                 compare = Some(PathBuf::from(args.next().unwrap_or_else(|| {
                     eprintln!("--compare requires a baseline path");
@@ -373,7 +419,8 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: microbench [--out PATH] [--filter GROUPS] [--compare BASELINE] \
-                     [--gate-batch] [--gate-parallel] [--gate-kernel-cache] [--gate-fleet]\n\
+                     [--gate-batch] [--gate-parallel] [--gate-kernel-cache] [--gate-fleet] \
+                     [--gate-replay]\n\
                      \x20      GROUPS is a comma-separated list of group-name substrings"
                 );
                 return;
@@ -435,8 +482,74 @@ fn main() {
             std::process::exit(1);
         }
     }
+    if gate_replay_flag {
+        if let Err(e) = gate_replay(&report) {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
+    }
     if let Some(Err(e)) = compare_result {
         eprintln!("{e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fourq_bench::harness::BenchRecord;
+
+    fn rec(name: &str, ns_per_op: f64, hw_threads: u32) -> BenchRecord {
+        BenchRecord {
+            group: "asic_pipeline".to_string(),
+            name: name.to_string(),
+            ns_per_op,
+            ops_per_sec: 1e9 / ns_per_op,
+            samples: 1,
+            iters_per_sample: 1,
+            threads: 1,
+            hw_threads,
+        }
+    }
+
+    fn report(results: Vec<BenchRecord>) -> BenchReport {
+        let mut r = BenchReport::default();
+        for x in results {
+            r.push(x);
+        }
+        r
+    }
+
+    #[test]
+    fn compare_judges_each_record_by_its_own_hw_threads() {
+        // A mixed baseline: `a` and `b` were recorded on this machine's
+        // thread count, `c` and `d` on another.
+        let base = report(vec![
+            rec("a", 100.0, 2),
+            rec("b", 100.0, 2),
+            rec("c", 100.0, 1),
+            rec("d", 100.0, 1),
+        ]);
+        // Only the other-hardware records regress: alert, no failure.
+        let cur = report(vec![
+            rec("a", 101.0, 2),
+            rec("b", 99.0, 2),
+            rec("c", 200.0, 2),
+            rec("d", 200.0, 2),
+        ]);
+        let out = compare_reports(&cur, &base, 2);
+        assert!(out.failures.is_empty(), "{:?}", out.failures);
+        assert_eq!(out.alerts.len(), 1, "{:?}", out.alerts);
+        // The same-hardware records regress: a hard failure, even though
+        // the first non-zero baseline record is from other hardware.
+        let base = report(vec![rec("c", 100.0, 1), rec("a", 100.0, 2)]);
+        let cur = report(vec![rec("c", 100.0, 2), rec("a", 200.0, 2)]);
+        let out = compare_reports(&cur, &base, 2);
+        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+        assert!(out.alerts.is_empty());
+        // Records predating hw_threads recording compare hard.
+        let base = report(vec![rec("a", 100.0, 0)]);
+        let cur = report(vec![rec("a", 200.0, 2)]);
+        assert_eq!(compare_reports(&cur, &base, 2).failures.len(), 1);
     }
 }

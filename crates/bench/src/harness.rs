@@ -102,7 +102,46 @@ pub fn run<R, F: FnMut() -> R>(
     opts: &BenchOptions,
     mut f: F,
 ) -> BenchRecord {
-    // Warmup + estimate.
+    let iters = calibrate(opts, &mut f);
+    let per_op = (0..opts.samples.max(1))
+        .map(|_| sample(iters, &mut f))
+        .collect();
+    record(group, name, per_op, iters)
+}
+
+/// Sample pairs [`run_pair`] takes at least, whatever `opts` asks for.
+pub const PAIRED_MIN_SAMPLES: u32 = 25;
+
+/// Times `a` and `b` in alternating samples (at least
+/// [`PAIRED_MIN_SAMPLES`] of each) and returns their two records.
+///
+/// On a shared host the clock speed can change between two benches run
+/// back to back, so the ratio of two separately timed medians drifts: a
+/// replay-over-native ratio read anywhere from 1.07× to 1.68× on a 2-vCPU
+/// box. Alternating samples puts both under the same conditions; the same
+/// ratio then stayed within 1.18–1.34× over seven runs.
+pub fn run_pair<Ra, Rb>(
+    group: &str,
+    (name_a, mut a): (&str, impl FnMut() -> Ra),
+    (name_b, mut b): (&str, impl FnMut() -> Rb),
+    opts: &BenchOptions,
+) -> [BenchRecord; 2] {
+    let (iters_a, iters_b) = (calibrate(opts, &mut a), calibrate(opts, &mut b));
+    let samples = opts.samples.max(PAIRED_MIN_SAMPLES);
+    let (mut per_a, mut per_b) = (Vec::new(), Vec::new());
+    for _ in 0..samples {
+        per_a.push(sample(iters_a, &mut a));
+        per_b.push(sample(iters_b, &mut b));
+    }
+    [
+        record(group, name_a, per_a, iters_a),
+        record(group, name_b, per_b, iters_b),
+    ]
+}
+
+/// Warms `f` up and returns the iteration count that makes one sample
+/// last about `opts.sample_time`.
+fn calibrate<R>(opts: &BenchOptions, f: &mut impl FnMut() -> R) -> u64 {
     let warm_start = Instant::now();
     let mut warm_iters: u64 = 0;
     while warm_start.elapsed() < opts.warmup || warm_iters == 0 {
@@ -110,22 +149,23 @@ pub fn run<R, F: FnMut() -> R>(
         warm_iters += 1;
     }
     let est_ns = warm_start.elapsed().as_nanos() as f64 / warm_iters as f64;
-
-    // Calibrate iterations so one sample ≈ sample_time.
     let target_ns = opts.sample_time.as_nanos() as f64;
-    let iters = (target_ns / est_ns.max(1.0)).round().max(1.0) as u64;
+    (target_ns / est_ns.max(1.0)).round().max(1.0) as u64
+}
 
-    let mut per_op: Vec<f64> = Vec::with_capacity(opts.samples as usize);
-    for _ in 0..opts.samples.max(1) {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        per_op.push(t0.elapsed().as_nanos() as f64 / iters as f64);
+/// One timed sample: nanoseconds per call over `iters` calls.
+fn sample<R>(iters: u64, f: &mut impl FnMut() -> R) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
     }
+    t0.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// The record of a set of samples: their median, with the run's shape.
+fn record(group: &str, name: &str, mut per_op: Vec<f64>, iters: u64) -> BenchRecord {
     per_op.sort_by(|a, b| a.total_cmp(b));
     let median = per_op[per_op.len() / 2];
-
     BenchRecord {
         group: group.to_string(),
         name: name.to_string(),
@@ -135,7 +175,7 @@ pub fn run<R, F: FnMut() -> R>(
         } else {
             f64::INFINITY
         },
-        samples: opts.samples.max(1),
+        samples: per_op.len() as u32,
         iters_per_sample: iters,
         threads: 1,
         hw_threads: hw_threads(),

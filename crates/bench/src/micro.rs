@@ -14,7 +14,7 @@
 //! | `multi_curve` | Table II on one machine — per-curve compiled kernels through the shared cache |
 //! | `fleet_ops` | multi-core fleet model + capacity planner (`--gate-fleet` scaling tripwire) |
 
-use crate::harness::{run, BenchOptions, BenchRecord, BenchReport};
+use crate::harness::{run, run_pair, BenchOptions, BenchRecord, BenchReport};
 use fourq_baselines::{p256::P256, x25519::X25519};
 use fourq_curve::{decompose, recode, AffinePoint, FourQEngine};
 use fourq_fp::{Fp, Fp2, Scalar, U256};
@@ -329,7 +329,8 @@ pub fn parallel_ops(report: &mut BenchReport, opts: &BenchOptions) {
 
 /// The compile-once/execute-many ASIC kernel pipeline: cold compile cost
 /// (the full trace→schedule→allocate→assemble flow plus the audit), the
-/// warm per-scalar replay through the cached kernel, the full
+/// warm per-scalar replay through the cached kernel (timed alternately
+/// with the native engine, `native_variable_base`), the full
 /// static-verifier pass (`kernel_verify`), and the batched replay at 1
 /// and 4 threads. `compile_cold / execute_warm` is the cache-amortisation
 /// ratio `--gate-kernel-cache` checks.
@@ -348,9 +349,18 @@ pub fn asic_pipeline(report: &mut BenchReport, opts: &BenchOptions) {
         fourq_cpu::compile(&machine, KERNEL_EFFORT).expect("kernel compiles")
     }));
     let kernel = fourq_cpu::shared_kernel(&machine, KERNEL_EFFORT).expect("kernel compiles");
-    report.push(run("asic_pipeline", "execute_warm", opts, || {
-        kernel.execute(&g, black_box(&k)).expect("kernel executes")
-    }));
+    // The warm replay and the native engine on the same scalar, in
+    // alternating samples: `--gate-replay` divides one by the other.
+    let [warm, native] = run_pair(
+        "asic_pipeline",
+        ("execute_warm", || {
+            kernel.execute(&g, black_box(&k)).expect("kernel executes")
+        }),
+        ("native_variable_base", || g.mul(black_box(&k))),
+        opts,
+    );
+    report.push(warm);
+    report.push(native);
     report.push(run("asic_pipeline", "kernel_verify", opts, || {
         let r = fourq_cpu::verify(black_box(kernel), fourq_cpu::CheckLevel::Full);
         assert!(r.is_clean(), "shipped kernel must verify clean");

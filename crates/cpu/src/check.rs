@@ -23,6 +23,11 @@
 //!    ROM and allocation with a canonical re-derivation — the static
 //!    counterpart of the compile audit's physical-register replay
 //!    ([`CompiledKernel::execute`]).
+//!
+//! Next to the static rules sits the dynamic oracle,
+//! [`reference_replay`]: a trace-walking executor that shares no code
+//! with the kernel's lowered program. The compile audit requires the two
+//! to agree word for word.
 //! 3. **Resource honesty** (`K-RES-*`): the fingerprint's cycle count,
 //!    lower bound, register pressure and ROM geometry are recomputed
 //!    here from scratch (independent code path from `fourq-sched`) and
@@ -36,7 +41,7 @@
 use crate::regalloc::{allocate, ControlRom, Src};
 use crate::{CompiledKernel, KernelFingerprint};
 use fourq_sched::{MachineConfig, Schedule};
-use fourq_trace::{Operand, Selector, Trace, TraceError, Unit};
+use fourq_trace::{DigitStream, OpKind, Operand, Selector, Trace, TraceError, Unit, Word};
 use std::collections::HashMap;
 
 /// Scheduling effort at or above which release builds run the full
@@ -535,6 +540,79 @@ fn latency_of(trace: &Trace, machine: &MachineConfig, i: usize) -> u64 {
         Unit::Multiplier => machine.mul_latency as u64,
         Unit::AddSub => machine.addsub_latency as u64,
     }
+}
+
+/// The reference executor: replays `kernel` straight from its trace,
+/// schedule and allocation, resolving every operand through the mux
+/// network per instruction and retiring results through a
+/// cycle-ordered pending queue.
+///
+/// It is the oracle for [`CompiledKernel::replay`]'s lowered program and
+/// shares none of its lowering: the issue order, latencies, commit
+/// order, reset image and operand routing are all re-derived here.
+/// `runtime` binds by position to [`Trace::runtime_ids`]; the outputs come
+/// back in [`Trace::outputs`] order. Registers past `num_registers` (only
+/// a hand-edited allocation names them) extend the file.
+///
+/// # Panics
+///
+/// On a trace that fails [`Trace::validate`], a runtime word of the wrong
+/// curve, or a `runtime`/`digits` shorter than the trace needs.
+pub fn reference_replay(
+    kernel: &CompiledKernel,
+    runtime: &[Word],
+    digits: &DigitStream,
+) -> Vec<Word> {
+    let trace = &kernel.trace;
+    let start = &kernel.schedule.start;
+    let assignment = &kernel.allocation.assignment;
+    let regs = assignment
+        .iter()
+        .map(|&r| r as usize + 1)
+        .max()
+        .unwrap_or(0)
+        .max(kernel.allocation.num_registers);
+    let mut rf = vec![trace.zero_word(); regs];
+    for (id, (_, recorded)) in trace.inputs.iter().enumerate() {
+        let slot = trace.runtime_ids.iter().position(|&r| r == id);
+        rf[assignment[id] as usize] = slot.map_or(*recorded, |s| runtime[s]);
+    }
+    let base = trace.first_op_id();
+    let mut order: Vec<usize> = (0..trace.nodes.len()).collect();
+    order.sort_by_key(|&i| (start[i], i));
+    // A result finishing at cycle c is readable from cycle c on.
+    let mut pending: Vec<(u64, u16, Word)> = Vec::new();
+    for i in order {
+        let node = &trace.nodes[i];
+        let cycle = start[i];
+        pending.retain(|&(finish, reg, v)| {
+            if finish <= cycle {
+                rf[reg as usize] = v;
+                false
+            } else {
+                true
+            }
+        });
+        let fetch = |op: Operand| rf[assignment[trace.resolve(op, digits)] as usize];
+        let a = fetch(node.a);
+        let b = match (node.kind, node.b) {
+            (OpKind::Mul | OpKind::Add | OpKind::Sub, Some(op)) => Some(fetch(op)),
+            _ => None,
+        };
+        pending.push((
+            cycle + latency_of(trace, &kernel.machine, i),
+            assignment[base + i],
+            Word::eval(node.kind, a, b),
+        ));
+    }
+    for (_, reg, v) in pending {
+        rf[reg as usize] = v;
+    }
+    trace
+        .outputs
+        .iter()
+        .map(|&(_, id)| rf[assignment[id] as usize])
+        .collect()
 }
 
 /// Liveness intervals `(born, dies)` per value id, mirroring the

@@ -28,12 +28,15 @@ use crate::{simulate, SimError, SimStats};
 use fourq_baselines::p256::{Affine, P256};
 use fourq_baselines::x25519::X25519;
 use fourq_curve::{AffinePoint, CurveId};
-use fourq_fp::{Scalar, U256};
+use fourq_fp::{Fp2, Scalar, U256};
 use fourq_sched::{
     lower_bound, schedule, serial_schedule, stitched_exact_schedule, trace_to_problem,
     MachineConfig, Problem, Schedule, ScheduleError, SegmentReport, StitchOptions,
 };
-use fourq_trace::{mont_field, DigitStream, OpKind, OpStats, Operand, Trace, TraceError, Word};
+use fourq_trace::{
+    eval_fe, eval_fp2, mont_field, DigitStream, OpKind, OpStats, Operand, Selector, Trace,
+    TraceError, Word,
+};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -83,6 +86,12 @@ pub enum PipelineError {
         /// The first finding, in pass order.
         first: Box<crate::check::KernelDiag>,
     },
+    /// The lowered replay program needs more register-file or operand
+    /// slots than its `u16` indices can address.
+    ProgramTooLarge {
+        /// Slots the program needs.
+        slots: usize,
+    },
     /// The kernel was asked to execute a curve other than the one it was
     /// compiled for.
     WrongCurve {
@@ -111,6 +120,12 @@ impl core::fmt::Display for PipelineError {
                     f,
                     "static verification failed with {findings} finding(s); first: [{}] {first}",
                     first.rule()
+                )
+            }
+            PipelineError::ProgramTooLarge { slots } => {
+                write!(
+                    f,
+                    "replay program needs {slots} slots, u16 indices address 65536"
                 )
             }
             PipelineError::WrongCurve {
@@ -175,15 +190,105 @@ pub struct KernelFingerprint {
     pub mux_count: usize,
 }
 
-/// One step of the precompiled replay program (issue order).
+/// One instruction of the lowered replay program.
+///
+/// `a` and `b` index the per-execute slot table (the registers, then the
+/// resolved muxes); `dst` is the register-file index the result lands in,
+/// an in-flight slot past the architectural registers that the commit
+/// schedule later copies to the destination register. Unary ops read
+/// `b == a` and ignore it.
 #[derive(Clone, Copy, Debug)]
-struct Step {
+struct Insn {
     kind: OpKind,
-    a: Operand,
-    b: Option<Operand>,
+    /// Commits to apply, in order, before this instruction reads.
+    commits: u16,
+    a: u16,
+    b: u16,
     dst: u16,
-    start: u64,
-    finish: u64,
+}
+
+/// The kernel lowered to what the controller plays: a dense instruction
+/// list in issue order, a writeback schedule, the reset image of the
+/// register file and the operand-select network, all with `u16` indices
+/// fixed at lowering time.
+///
+/// The register file is `regs` architectural registers followed by
+/// `depth` in-flight slots. An instruction writes its result to its own
+/// in-flight slot; the commit schedule copies it to its register once the
+/// unit latency has elapsed, in the order a cycle-by-cycle pending queue
+/// would (results of the 2-cycle multiplier and the 1-cycle adder retire
+/// out of issue order).
+#[derive(Clone, Debug)]
+struct Program {
+    /// Instructions in issue order.
+    insns: Vec<Insn>,
+    /// `(in-flight slot, register)` copies, consumed in order: each
+    /// instruction's `commits` first, the rest after the last one.
+    commits: Vec<(u16, u16)>,
+    /// Register file at reset: zeros, with every lifted constant in its
+    /// register; `regs + depth` words.
+    image: Vec<Word>,
+    /// `(register, runtime slot)`: the registers loaded from the runtime
+    /// inputs ([`Trace::runtime_ids`] order) on each execute.
+    runtime: Vec<(u16, u16)>,
+    /// Slot table template: slot `r < regs` is register `r`; slot
+    /// `regs + m`, the register mux `m` selects, is filled per execute.
+    slots: Vec<u16>,
+    /// Per mux: its selector and the range of its candidates in `cands`.
+    muxes: Vec<(Selector, u32, u32)>,
+    /// Mux candidates as slot indices.
+    cands: Vec<u16>,
+    /// Register of each output, in [`Trace::outputs`] order.
+    outputs: Vec<u16>,
+}
+
+impl Program {
+    /// Resolves the operand-select network under one digit stream: the
+    /// slot table with every mux's selected register filled in. Muxes
+    /// only route through earlier muxes, so one pass in order suffices.
+    fn resolve(&self, digits: &DigitStream) -> Vec<u16> {
+        let mut slots = self.slots.clone();
+        let base = slots.len() - self.muxes.len();
+        for (m, &(sel, lo, hi)) in self.muxes.iter().enumerate() {
+            let cands = &self.cands[lo as usize..hi as usize];
+            slots[base + m] = slots[cands[sel.select(digits)] as usize];
+        }
+        slots
+    }
+
+    /// The one replay body, generic over the register word: `word`
+    /// converts the reset image, `eval` is the typed datapath
+    /// ([`eval_fp2`] or [`eval_fe`]). Returns the outputs in
+    /// [`Trace::outputs`] order.
+    #[inline]
+    fn run<W: Copy>(
+        &self,
+        word: impl Fn(Word) -> W,
+        runtime: &[W],
+        digits: &DigitStream,
+        eval: impl Fn(OpKind, W, W) -> W,
+    ) -> Vec<W> {
+        let mut rf: Vec<W> = self.image.iter().map(|&w| word(w)).collect();
+        for &(reg, slot) in &self.runtime {
+            rf[reg as usize] = runtime[slot as usize];
+        }
+        let slots = self.resolve(digits);
+        let mut next = 0;
+        for insn in &self.insns {
+            let end = next + insn.commits as usize;
+            for &(from, to) in &self.commits[next..end] {
+                rf[to as usize] = rf[from as usize];
+            }
+            next = end;
+            let a = rf[slots[insn.a as usize] as usize];
+            let b = rf[slots[insn.b as usize] as usize];
+            rf[insn.dst as usize] = eval(insn.kind, a, b);
+        }
+        for &(from, to) in &self.commits[next..] {
+            rf[to as usize] = rf[from as usize];
+        }
+        self.outputs.iter().map(|&r| rf[r as usize]).collect()
+    }
 }
 
 /// The compile-once artifact: uniform trace, validated schedule, register
@@ -212,7 +317,7 @@ pub struct CompiledKernel {
     /// Machine statistics from the compile-time cycle-accurate run
     /// (digit-independent — see [`KernelFingerprint`]).
     pub stats: SimStats,
-    prog: Vec<Step>,
+    program: Program,
 }
 
 /// Compiles the Fourℚ scalar-multiplication kernel for a machine at the
@@ -282,13 +387,27 @@ fn record_curve_trace(curve: CurveId) -> Trace {
 
 /// End-to-end compile audit: the kernel must reproduce its curve's
 /// software baseline on the representative inputs and on unrelated ones
-/// before it is handed out.
+/// before it is handed out, and on each of those inputs its lowered
+/// program must give the same words as the trace-walking
+/// [`crate::check::reference_replay`].
 fn audit_kernel(kernel: &CompiledKernel) -> Result<(), PipelineError> {
+    let agree = |runtime: &[Word], digits: &DigitStream| {
+        if kernel.replay(runtime, digits) == crate::check::reference_replay(kernel, runtime, digits)
+        {
+            Ok(())
+        } else {
+            Err(PipelineError::Diverged)
+        }
+    };
     match kernel.curve {
         CurveId::FourQ => {
             let rep = Scalar::from_le_bytes(&REP_SCALAR);
             let g = AffinePoint::generator();
             for k in [rep, Scalar::from_u64(0x9e37_79b9_7f4a_7c15)] {
+                agree(
+                    &[Word::Fp2(g.x), Word::Fp2(g.y)],
+                    &fourq_trace::digit_stream(&k),
+                )?;
                 let got = kernel.execute(&g, &k)?;
                 let want = g.mul(&k);
                 if (got.x, got.y) != (want.x, want.y) {
@@ -305,6 +424,10 @@ fn audit_kernel(kernel: &CompiledKernel) -> Result<(), PipelineError> {
             let mut u = [0u8; 32];
             u[0] = 9;
             for s in [REP_SCALAR, scalar2] {
+                agree(
+                    &[Word::Fe(CurveId::X25519, x25519_input(&u))],
+                    &fourq_trace::x25519_digit_stream(&s),
+                )?;
                 let got = kernel.execute_x25519(&s, &u)?;
                 if got != ctx.ladder(&s, &u) {
                     return Err(PipelineError::Diverged);
@@ -318,6 +441,8 @@ fn audit_kernel(kernel: &CompiledKernel) -> Result<(), PipelineError> {
             let g = ctx.generator_affine();
             let base = encode_p256_point(&g);
             for k in [rep, U256::from_u64(0x9e37_79b9_7f4a_7c15)] {
+                let runtime = p256_inputs(&base).map(|v| Word::Fe(CurveId::P256, v));
+                agree(&runtime, &fourq_trace::p256_digit_stream(&k))?;
                 let got = kernel.execute_p256(&k.to_le_bytes(), &base)?;
                 let want = encode_p256_point(&ctx.scalar_mul_complete(&k, &g));
                 if got != want {
@@ -456,7 +581,7 @@ fn finish_compile(
             budget,
         });
     }
-    let (rom, prog) = lower(&trace, &sched, &allocation, machine)?;
+    let (rom, program) = lower(&trace, &sched, &allocation, machine)?;
     let fingerprint = KernelFingerprint {
         cycles: sched.makespan,
         lower_bound: lower_bound(&problem, machine),
@@ -478,7 +603,7 @@ fn finish_compile(
         rom,
         fingerprint,
         stats: sim.stats,
-        prog,
+        program,
     };
     // Static verification: always in debug builds (every test compile
     // gets the full pass), effort-gated in release so the hot low-effort
@@ -496,41 +621,118 @@ fn finish_compile(
 }
 
 /// Lowers a scheduled, register-allocated program to what the kernel
-/// plays back: the packed control ROM and the replay program.
+/// plays back: the packed control ROM and the flat replay [`Program`].
 ///
 /// A single-sequencer ROM exists only for single-instance units; wider
 /// machines keep the decoded schedule without a packed encoding. The
-/// replay program is the trace in issue order, each step carrying its
-/// destination register and its issue and write-back cycles.
+/// replay program copies the allocation and the lifted constants, and
+/// builds its commit schedule by running the writeback queue once here:
+/// walking the instructions in issue order, every pending result whose
+/// latency has elapsed by the issue cycle retires (in the order it was
+/// queued) before the instruction reads.
 fn lower(
     trace: &Trace,
     sched: &Schedule,
     allocation: &Allocation,
     machine: &MachineConfig,
-) -> Result<(Option<ControlRom>, Vec<Step>), PipelineError> {
+) -> Result<(Option<ControlRom>, Program), PipelineError> {
     let rom = if machine.mul_units == 1 && machine.addsub_units == 1 {
         Some(ControlRom::assemble(trace, sched, allocation)?)
     } else {
         None
     };
+    let assignment = &allocation.assignment;
+    // A hand-edited allocation may name registers past `num_registers`;
+    // the file grows to hold them (the reference executor does the same).
+    let regs = assignment
+        .iter()
+        .map(|&r| r as usize + 1)
+        .fold(allocation.num_registers, usize::max);
+    let slot = |op: Operand| -> u16 {
+        match op {
+            Operand::Val(id) => assignment[id],
+            Operand::Mux(m) => (regs + m) as u16,
+        }
+    };
     let base = trace.first_op_id();
     let mut order: Vec<usize> = (0..trace.nodes.len()).collect();
     order.sort_by_key(|&i| (sched.start[i], i));
-    let prog = order
-        .into_iter()
-        .map(|i| {
-            let node = &trace.nodes[i];
-            Step {
-                kind: node.kind,
-                a: node.a,
-                b: node.b,
-                dst: allocation.assignment[base + i],
-                start: sched.start[i],
-                finish: sched.start[i] + machine.latency(node.kind.unit()),
+    let mut insns = Vec::with_capacity(order.len());
+    let mut commits = Vec::new();
+    // (finish cycle, in-flight slot, register), in queue order.
+    let mut pending: Vec<(u64, u16, u16)> = Vec::new();
+    let mut free = Vec::new();
+    let mut depth = 0;
+    for i in order {
+        let node = &trace.nodes[i];
+        let cycle = sched.start[i];
+        let before = commits.len();
+        pending.retain(|&(finish, flight, reg)| {
+            let done = finish <= cycle;
+            if done {
+                commits.push((flight, reg));
+                free.push(flight);
             }
-        })
-        .collect();
-    Ok((rom, prog))
+            !done
+        });
+        let flight = free.pop().unwrap_or_else(|| {
+            depth += 1;
+            (regs + depth - 1) as u16
+        });
+        let a = slot(node.a);
+        insns.push(Insn {
+            kind: node.kind,
+            commits: (commits.len() - before) as u16,
+            a,
+            b: node.b.map_or(a, slot),
+            dst: flight,
+        });
+        let finish = cycle + machine.latency(node.kind.unit());
+        pending.push((finish, flight, assignment[base + i]));
+    }
+    commits.extend(pending.iter().map(|&(_, flight, reg)| (flight, reg)));
+    // Every index above was cast to u16; reject the program if one did
+    // not fit.
+    let slots = regs + depth.max(trace.muxes.len());
+    if slots > 1 << 16 {
+        return Err(PipelineError::ProgramTooLarge { slots });
+    }
+
+    let mut image = vec![trace.zero_word(); regs + depth];
+    let mut runtime = vec![None; regs];
+    for (id, (_, value)) in trace.inputs.iter().enumerate() {
+        let reg = assignment[id] as usize;
+        // Later ids overwrite earlier ones sharing a register, as a
+        // sequential load would.
+        runtime[reg] = trace.runtime_ids.iter().position(|&r| r == id);
+        image[reg] = *value;
+    }
+    let mut muxes = Vec::with_capacity(trace.muxes.len());
+    let mut cands = Vec::new();
+    for mx in &trace.muxes {
+        let lo = cands.len() as u32;
+        cands.extend(mx.cands.iter().map(|&c| slot(c)));
+        muxes.push((mx.sel, lo, cands.len() as u32));
+    }
+    let program = Program {
+        insns,
+        commits,
+        image,
+        runtime: (0..regs)
+            .filter_map(|reg| runtime[reg].map(|s| (reg as u16, s as u16)))
+            .collect(),
+        slots: (0..regs + trace.muxes.len())
+            .map(|r| r.min(regs) as u16)
+            .collect(),
+        muxes,
+        cands,
+        outputs: trace
+            .outputs
+            .iter()
+            .map(|&(_, id)| assignment[id])
+            .collect(),
+    };
+    Ok((rom, program))
 }
 
 impl CompiledKernel {
@@ -539,19 +741,23 @@ impl CompiledKernel {
     /// allocation-dependent fingerprint fields — with **no verification
     /// and no audit**.
     ///
-    /// The replay program writes through a private copy of the
-    /// destination registers, so mutating [`CompiledKernel::allocation`]
-    /// in place would leave execution on the old mapping; this is the
-    /// consistent way to swap an allocation in. It exists for the
-    /// fault-injection campaign (`fourq-testkit`), which needs to
-    /// manufacture kernels the compile flow would refuse to produce.
+    /// The replay program is lowered from a private copy of the
+    /// allocation (operand, destination and output registers alike) and
+    /// of the trace's lifted constants, so mutating
+    /// [`CompiledKernel::allocation`] or [`CompiledKernel::trace`] in
+    /// place leaves execution on the old ones; rebuilding through this
+    /// function (with the same or a new allocation) lowers them again. It
+    /// exists for the fault-injection campaign (`fourq-testkit`), which
+    /// needs to manufacture kernels the compile flow would refuse to
+    /// produce.
     ///
     /// # Errors
     ///
     /// [`PipelineError::Assemble`] if the control ROM cannot be packed
-    /// under the replacement allocation.
+    /// under the replacement allocation; [`PipelineError::ProgramTooLarge`]
+    /// if the lowered program needs more slots than `u16` indices reach.
     pub fn with_allocation(&self, allocation: Allocation) -> Result<CompiledKernel, PipelineError> {
-        let (rom, prog) = lower(&self.trace, &self.schedule, &allocation, &self.machine)?;
+        let (rom, program) = lower(&self.trace, &self.schedule, &allocation, &self.machine)?;
         let mut fingerprint = self.fingerprint.clone();
         fingerprint.registers = allocation.num_registers;
         fingerprint.rom_bits = rom.as_ref().map(|r| r.size_bits()).unwrap_or(0);
@@ -565,7 +771,7 @@ impl CompiledKernel {
             rom,
             fingerprint,
             stats: self.stats,
-            prog,
+            program,
         })
     }
 
@@ -591,8 +797,10 @@ impl CompiledKernel {
             return Ok(AffinePoint::identity());
         }
         let digits = fourq_trace::digit_stream(k);
-        let out = self.replay(&[Word::Fp2(base.x), Word::Fp2(base.y)], &digits);
-        AffinePoint::new(out[0].as_fp2(), out[1].as_fp2()).map_err(|_| PipelineError::Diverged)
+        let out = self
+            .program
+            .run(Word::as_fp2, &[base.x, base.y], &digits, eval_fp2);
+        AffinePoint::new(out[0], out[1]).map_err(|_| PipelineError::Diverged)
     }
 
     /// Executes an X25519 kernel: `scalar` is the raw RFC 7748 secret
@@ -612,15 +820,10 @@ impl CompiledKernel {
     ) -> Result<[u8; 32], PipelineError> {
         self.expect_curve(CurveId::X25519)?;
         let digits = fourq_trace::x25519_digit_stream(scalar);
-        let f = mont_field(CurveId::X25519);
-        // RFC 7748 masks the top bit of u (mirrors the trace recording).
-        let mut ub = *u;
-        ub[31] &= 0x7f;
-        let x1 = f.enter(U256::from_le_bytes(&ub));
-        let out = self.replay(&[Word::Fe(CurveId::X25519, x1)], &digits);
+        let out = self.run_fe(&[x25519_input(u)], &digits);
         // The program's Montgomery exit already returned `x` to a plain
         // little-endian integer.
-        Ok(out[0].as_fe().to_le_bytes())
+        Ok(out[0].to_le_bytes())
     }
 
     /// Executes a P-256 kernel: `scalar` is little-endian, `point` the
@@ -642,26 +845,9 @@ impl CompiledKernel {
         point: &[u8; 64],
     ) -> Result<[u8; 64], PipelineError> {
         self.expect_curve(CurveId::P256)?;
-        let f = mont_field(CurveId::P256);
-        let k = U256::from_le_bytes(scalar);
-        let digits = fourq_trace::p256_digit_stream(&k);
-        let (px, py, pz) = if point.iter().all(|&b| b == 0) {
-            // Projective identity (0 : 1 : 0), as the trace records it.
-            (U256::ZERO, f.enter(U256::ONE), U256::ZERO)
-        } else {
-            let x = U256::from_le_bytes(point[..32].try_into().expect("32 bytes"));
-            let y = U256::from_le_bytes(point[32..].try_into().expect("32 bytes"));
-            (f.enter(x), f.enter(y), f.enter(U256::ONE))
-        };
-        let out = self.replay(
-            &[
-                Word::Fe(CurveId::P256, px),
-                Word::Fe(CurveId::P256, py),
-                Word::Fe(CurveId::P256, pz),
-            ],
-            &digits,
-        );
-        let (x, y) = (out[0].as_fe(), out[1].as_fe());
+        let digits = fourq_trace::p256_digit_stream(&U256::from_le_bytes(scalar));
+        let out = self.run_fe(&p256_inputs(point), &digits);
+        let (x, y) = (out[0], out[1]);
         let result = if x == U256::ZERO && y == U256::ZERO {
             Affine::Infinity
         } else {
@@ -718,57 +904,66 @@ impl CompiledKernel {
             .collect()
     }
 
-    /// Replays the precompiled program through the physical register file
-    /// under a fresh digit stream: the one physical-register executor.
+    /// Runs the program on a base-field kernel, with the curve's
+    /// [`MontField`](fourq_baselines::mont::MontField) looked up once.
+    fn run_fe(&self, runtime: &[U256], digits: &DigitStream) -> Vec<U256> {
+        let f = mont_field(self.curve);
+        self.program
+            .run(Word::as_fe, runtime, digits, |kind, a, b| {
+                eval_fe(f, kind, a, b)
+            })
+    }
+
+    /// Replays the lowered program through the physical register file
+    /// under a fresh digit stream, on [`Word`]s.
     ///
     /// `runtime` binds by position to [`Trace::runtime_ids`] (the curve
-    /// points); every other input keeps the constant captured at compile
-    /// time. Returns the outputs in [`Trace::outputs`] order.
-    /// This is the curve-agnostic core behind [`Self::execute`],
-    /// [`Self::execute_x25519`] and [`Self::execute_p256`].
+    /// points); every other input keeps the constant captured at
+    /// lowering time. Returns the outputs in [`Trace::outputs`] order.
+    /// [`Self::execute`], [`Self::execute_x25519`] and
+    /// [`Self::execute_p256`] run the same typed body without the `Word`
+    /// wrapping; [`crate::check::reference_replay`] is the independent
+    /// trace-walking executor this one must agree with bit for bit.
     ///
-    /// One non-generic body on purpose: a const-generic `[Word; N]`
-    /// return measured about 1.4× slower per replay, on every curve, on a
-    /// 2-vCPU x86-64 box.
-    fn replay(&self, runtime: &[Word], digits: &DigitStream) -> Vec<Word> {
-        let trace = &self.trace;
-        let assignment = &self.allocation.assignment;
-        let mut rf = vec![trace.zero_word(); self.allocation.num_registers];
-        for (id, (_, rep)) in trace.inputs.iter().enumerate() {
-            let slot = trace.runtime_ids.iter().position(|&r| r == id);
-            // constants keep their recorded value
-            rf[assignment[id] as usize] = slot.map_or(*rep, |s| runtime[s]);
+    /// # Panics
+    ///
+    /// If a runtime word is not of the kernel's curve, or `runtime` or
+    /// `digits` is shorter than the trace needs.
+    pub fn replay(&self, runtime: &[Word], digits: &DigitStream) -> Vec<Word> {
+        match self.curve {
+            CurveId::FourQ => {
+                let rt: Vec<Fp2> = runtime.iter().map(|w| w.as_fp2()).collect();
+                let out = self.program.run(Word::as_fp2, &rt, digits, eval_fp2);
+                out.into_iter().map(Word::Fp2).collect()
+            }
+            curve => {
+                let rt: Vec<U256> = runtime.iter().map(|w| w.as_fe()).collect();
+                let out = self.run_fe(&rt, digits);
+                out.into_iter().map(|v| Word::Fe(curve, v)).collect()
+            }
         }
-        // Pending-writeback replay: a result finishing at cycle c is
-        // readable from cycle c on; idle cycles are skipped.
-        let mut pending: Vec<(u64, u16, Word)> = Vec::new();
-        for step in &self.prog {
-            let cycle = step.start;
-            pending.retain(|&(f, reg, v)| {
-                if f <= cycle {
-                    rf[reg as usize] = v;
-                    false
-                } else {
-                    true
-                }
-            });
-            let fetch =
-                |op: Operand| -> Word { rf[assignment[trace.resolve(op, digits)] as usize] };
-            let a = fetch(step.a);
-            let b = match (step.kind, step.b) {
-                (OpKind::Mul | OpKind::Add | OpKind::Sub, Some(op)) => Some(fetch(op)),
-                _ => None,
-            };
-            pending.push((step.finish, step.dst, Word::eval(step.kind, a, b)));
-        }
-        for (_, reg, v) in pending {
-            rf[reg as usize] = v;
-        }
-        trace
-            .outputs
-            .iter()
-            .map(|&(_, id)| rf[assignment[id] as usize])
-            .collect()
+    }
+}
+
+/// The X25519 kernel's runtime input: the u-coordinate with its top bit
+/// masked (RFC 7748, mirroring the trace recording), in Montgomery form.
+fn x25519_input(u: &[u8; 32]) -> U256 {
+    let mut ub = *u;
+    ub[31] &= 0x7f;
+    mont_field(CurveId::X25519).enter(U256::from_le_bytes(&ub))
+}
+
+/// The P-256 kernel's runtime inputs: projective `(X, Y, Z)` in
+/// Montgomery form for the 64-byte `x ‖ y` encoding.
+fn p256_inputs(point: &[u8; 64]) -> [U256; 3] {
+    let f = mont_field(CurveId::P256);
+    if point.iter().all(|&b| b == 0) {
+        // Projective identity (0 : 1 : 0), as the trace records it.
+        [U256::ZERO, f.enter(U256::ONE), U256::ZERO]
+    } else {
+        let x = U256::from_le_bytes(point[..32].try_into().expect("32 bytes"));
+        let y = U256::from_le_bytes(point[32..].try_into().expect("32 bytes"));
+        [f.enter(x), f.enter(y), f.enter(U256::ONE)]
     }
 }
 
@@ -985,12 +1180,58 @@ mod tests {
             .expect("assembles");
         let runtime: Vec<Word> = t.runtime_ids.iter().map(|&id| t.inputs[id].1).collect();
         let outs = bogus.replay(&runtime, &t.digits);
+        // Every write lands in register 0, so the outputs depend on the
+        // exact retirement order: the lowered commit schedule must match
+        // the reference's pending queue.
+        assert_eq!(
+            outs,
+            crate::check::reference_replay(&bogus, &runtime, &t.digits)
+        );
         let mismatch = t
             .outputs
             .iter()
             .zip(outs)
             .any(|((_, id), v)| v != t.values[*id]);
         assert!(mismatch, "one-register allocation cannot be correct");
+    }
+
+    #[test]
+    fn same_cycle_retirements_keep_queue_order() {
+        // A multiplier result issued at c−2 and an adder result issued at
+        // c−1 retire in the same cycle. With both pointed at one register
+        // the survivor is whichever retires last, so the lowered commit
+        // schedule must order them as the reference's pending queue does.
+        // (Cruder allocations cannot show this: the first `x − x` in a
+        // shared register zeroes every later value.)
+        let m = MachineConfig::paper();
+        let kernel = shared_kernel(&m, 0).expect("compiles");
+        let t = &kernel.trace;
+        let start = &kernel.schedule.start;
+        let mut order: Vec<usize> = (0..t.nodes.len()).collect();
+        order.sort_by_key(|&i| (start[i], i));
+        let mut first_at = HashMap::new();
+        let mut pairs = Vec::new();
+        for i in order {
+            let finish = start[i] + m.latency(t.nodes[i].kind.unit());
+            if let Some(&first) = first_at.get(&finish) {
+                pairs.push((first, i));
+            } else {
+                first_at.insert(finish, i);
+            }
+        }
+        assert!(pairs.len() > 100, "the paper machine overlaps its units");
+        let base = t.first_op_id();
+        let runtime: Vec<Word> = t.runtime_ids.iter().map(|&id| t.inputs[id].1).collect();
+        for &(first, second) in [0, pairs.len() / 2, pairs.len() - 1].map(|p| &pairs[p]) {
+            let mut alloc = kernel.allocation.clone();
+            alloc.assignment[base + first] = alloc.assignment[base + second];
+            let bad = kernel.with_allocation(alloc).expect("assembles");
+            assert_eq!(
+                bad.replay(&runtime, &t.digits),
+                crate::check::reference_replay(&bad, &runtime, &t.digits),
+                "ops {first} and {second} retire together"
+            );
+        }
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //!   [`CompiledKernel::with_allocation`] so runtime execution would
 //!   genuinely use the corrupted mapping if the verifier missed it.
 //! * [`FaultClass::Constant`] — one bit of a lifted constant in the
-//!   register-file image. Structurally invisible by design: detection
-//!   must come from the runtime audit.
+//!   register-file image, lowered again through
+//!   [`CompiledKernel::with_allocation`] so execution reads the flipped
+//!   value. Structurally invisible by design: detection must come from
+//!   the runtime audit.
 
 use fourq_baselines::p256::{Affine, P256};
 use fourq_baselines::x25519::X25519;
@@ -347,6 +349,11 @@ fn inject_constant(kernel: &CompiledKernel, rng: &mut TestRng) -> (CompiledKerne
     let bit = rng.below(254) as u32;
     k.trace.inputs[id].1 = flip_word_bit(k.trace.inputs[id].1, bit);
     let site = format!("input {id} ({}) bit {bit}", k.trace.inputs[id].0);
+    // The replay program holds a copy of the constants taken when it was
+    // lowered; lower it again so the flip reaches execution.
+    let k = k
+        .with_allocation(k.allocation.clone())
+        .expect("rebuild never fails for single-unit machines");
     (k, site)
 }
 

@@ -38,6 +38,6 @@ pub use programs::{
     ScalarMulTrace, X25519Trace,
 };
 pub use tracer::{
-    mont_field, DigitStream, Mux, Node, NodeId, OpKind, OpStats, Operand, Selector, Trace,
-    TraceError, TracedFe, TracedFp2, Tracer, Unit, Word,
+    eval_fe, eval_fp2, mont_field, DigitStream, Mux, Node, NodeId, OpKind, OpStats, Operand,
+    Selector, Trace, TraceError, TracedFe, TracedFp2, Tracer, Unit, Word,
 };

@@ -227,55 +227,76 @@ impl Word {
 
     /// Applies one microinstruction to concrete words — the single
     /// arithmetic definition shared by [`Trace::self_check`], the
-    /// scheduler simulators and kernel replay, so every layer computes
-    /// with identical semantics.
+    /// scheduler simulators and the kernel executors, so every layer
+    /// computes with identical semantics. The arithmetic itself is
+    /// [`eval_fp2`] / [`eval_fe`], which the compiled kernel's typed
+    /// replay calls directly.
     ///
     /// `Conj` on a base field is the identity (conjugation is an `F_p²`
     /// notion); base-field programs simply never emit it.
     ///
     /// # Panics
     ///
-    /// Panics on a missing/extra second operand or mixed-variant operands.
-    ///
-    /// Inline: this sits on the kernel replay hot path (one call per
-    /// microinstruction), where the variant tag is loop-invariant and the
-    /// field arithmetic must inline into the caller.
+    /// Panics on a missing second operand of a binary op, or on
+    /// mixed-variant operands.
     #[inline]
     pub fn eval(kind: OpKind, a: Word, b: Option<Word>) -> Word {
+        let binary = matches!(kind, OpKind::Mul | OpKind::Add | OpKind::Sub);
+        let rhs = || b.expect("binary op needs a second operand");
         match a {
             Word::Fp2(x) => {
-                let rhs = |b: Option<Word>| b.expect("binary op needs a second operand").as_fp2();
-                Word::Fp2(match kind {
-                    OpKind::Mul => x.mul_karatsuba(&rhs(b)),
-                    OpKind::Add => x + rhs(b),
-                    OpKind::Sub => x - rhs(b),
-                    OpKind::Sqr => x.square(),
-                    OpKind::Neg => -x,
-                    OpKind::Conj => x.conj(),
-                })
+                let y = if binary { rhs().as_fp2() } else { x };
+                Word::Fp2(eval_fp2(kind, x, y))
             }
             Word::Fe(c, x) => {
-                let f = mont_field(c);
-                let rhs = |b: Option<Word>| match b.expect("binary op needs a second operand") {
-                    Word::Fe(c2, v) => {
-                        assert_eq!(c2, c, "operands belong to different base fields");
-                        v
+                let y = if binary {
+                    match rhs() {
+                        Word::Fe(c2, v) => {
+                            assert_eq!(c2, c, "operands belong to different base fields");
+                            v
+                        }
+                        Word::Fp2(_) => panic!("mixed F_p²/base-field operands"),
                     }
-                    Word::Fp2(_) => panic!("mixed F_p²/base-field operands"),
+                } else {
+                    x
                 };
-                Word::Fe(
-                    c,
-                    match kind {
-                        OpKind::Mul => f.mul(x, rhs(b)),
-                        OpKind::Add => f.add(x, rhs(b)),
-                        OpKind::Sub => f.sub(x, rhs(b)),
-                        OpKind::Sqr => f.sqr(x),
-                        OpKind::Neg => f.neg(x),
-                        OpKind::Conj => x,
-                    },
-                )
+                Word::Fe(c, eval_fe(mont_field(c), kind, x, y))
             }
         }
+    }
+}
+
+/// One microinstruction on `F_p²` words (the Fourℚ datapath). Unary ops
+/// ignore `b`.
+///
+/// Inline: this is the kernel replay's per-instruction body, where the
+/// field arithmetic must inline into the caller's loop.
+#[inline]
+pub fn eval_fp2(kind: OpKind, a: Fp2, b: Fp2) -> Fp2 {
+    match kind {
+        OpKind::Mul => a.mul_karatsuba(&b),
+        OpKind::Add => a + b,
+        OpKind::Sub => a - b,
+        OpKind::Sqr => a.square(),
+        OpKind::Neg => -a,
+        OpKind::Conj => a.conj(),
+    }
+}
+
+/// One microinstruction on Montgomery-form base-field words of `f` (the
+/// X25519 and P-256 datapaths). Unary ops ignore `b`; `Conj` is the
+/// identity.
+///
+/// Inline for the same reason as [`eval_fp2`].
+#[inline]
+pub fn eval_fe(f: &MontField, kind: OpKind, a: U256, b: U256) -> U256 {
+    match kind {
+        OpKind::Mul => f.mul(a, b),
+        OpKind::Add => f.add(a, b),
+        OpKind::Sub => f.sub(a, b),
+        OpKind::Sqr => f.sqr(a),
+        OpKind::Neg => f.neg(a),
+        OpKind::Conj => a,
     }
 }
 
