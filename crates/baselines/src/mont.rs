@@ -3,9 +3,29 @@
 //! The CIOS (coarsely integrated operand scanning) Montgomery multiplier —
 //! the same algorithm the Montgomery-multiplier ECDSA processors of the
 //! paper's Table II rows \[17\]/\[18\] implement in hardware.
+//!
+//! Every operation is branch-free in its operands: the final conditional
+//! subtractions of `add`, `sub`, `neg` and the CIOS product are mask
+//! selections, so the field is safe under secret data. One CIOS body
+//! serves every modulus; for NIST P-256's prime it is instantiated with
+//! the modulus and `n0 = 1` as compile-time constants, the software
+//! analogue of a multiplier hard-wired to one prime.
 #![allow(clippy::needless_range_loop)] // limb loops are clearer indexed
 
-use fourq_fp::U256;
+use fourq_fp::{Choice, CtEq, CtSelect, U256};
+
+/// NIST P-256's prime `2^256 − 2^224 + 2^192 + 2^96 − 1`, little-endian
+/// limbs.
+const P256_P: [u64; 4] = [
+    0xffff_ffff_ffff_ffff,
+    0x0000_0000_ffff_ffff,
+    0,
+    0xffff_ffff_0000_0001,
+];
+
+/// `−p⁻¹ mod 2^64` for [`P256_P`]: its low limb is `2^64 − 1`, so `p ≡ −1`
+/// and the Montgomery quotient digit is the running low word itself.
+const P256_N0: u64 = 1;
 
 /// A prime-field context with modulus `p < 2^256`, `p` odd.
 ///
@@ -27,6 +47,9 @@ pub struct MontField {
     n0: u64,
     /// `R² mod p` for conversions into Montgomery form.
     r2: U256,
+    /// Whether `p` is P-256's prime, whose products take the
+    /// constant-modulus CIOS instance.
+    p256: bool,
 }
 
 impl MontField {
@@ -44,96 +67,77 @@ impl MontField {
             inv = inv.wrapping_mul(2u64.wrapping_sub(p0.wrapping_mul(inv)));
         }
         let n0 = inv.wrapping_neg();
-        // r2 = 2^512 mod p via the division-based reference (done once).
-        let mut wide = [0u64; 8];
-        // represent 2^512 - something: rem_wide takes a 512-bit value, max is
-        // 2^512 - 1; use (2^512 - 1) mod p + 1 mod p.
-        wide.iter_mut().for_each(|w| *w = u64::MAX);
-        let r2m1 = U256::rem_wide(&wide, &p);
-        let r2 = add_mod(r2m1, U256::ONE, &p);
-        MontField { p, n0, r2 }
+        // r2 = 2^512 mod p via the division-based reference (done once):
+        // rem_wide takes at most 2^512 − 1, so reduce that and add one.
+        let r2m1 = U256::rem_wide(&[u64::MAX; 8], &p);
+        let mut f = MontField {
+            p,
+            n0,
+            r2: U256::ZERO,
+            p256: p.0 == P256_P,
+        };
+        f.r2 = f.add(r2m1, U256::ONE);
+        f
     }
 
-    /// Converts into Montgomery form.
+    /// Converts into Montgomery form. Exact for every `a < 2^256`: one
+    /// product with `R² mod p < p` keeps the CIOS result below `2p`.
+    #[inline]
     pub fn enter(&self, a: U256) -> U256 {
-        self.mul(a.rem(&self.p), self.r2)
+        self.mul(a, self.r2)
     }
 
     /// Converts out of Montgomery form.
+    #[inline]
     pub fn leave(&self, a: U256) -> U256 {
-        self.mont_mul(a, U256::ONE)
+        self.mul(a, U256::ONE)
     }
 
-    /// Montgomery product `a·b·R⁻¹ mod p` (CIOS).
-    fn mont_mul(&self, a: U256, b: U256) -> U256 {
-        let mut t = [0u64; 6]; // t[0..4] value, t[4..6] overflow words
-        for i in 0..4 {
-            // t += a[i] * b
-            let mut carry = 0u128;
-            for j in 0..4 {
-                let acc = t[j] as u128 + a.0[i] as u128 * b.0[j] as u128 + carry;
-                t[j] = acc as u64;
-                carry = acc >> 64;
-            }
-            let acc = t[4] as u128 + carry;
-            t[4] = acc as u64;
-            t[5] = (acc >> 64) as u64;
-            // m = t[0] * n0 mod 2^64 ; t += m*p ; t >>= 64
-            let m = t[0].wrapping_mul(self.n0);
-            let acc = t[0] as u128 + m as u128 * self.p.0[0] as u128;
-            let mut carry = acc >> 64;
-            for j in 1..4 {
-                let acc = t[j] as u128 + m as u128 * self.p.0[j] as u128 + carry;
-                t[j - 1] = acc as u64;
-                carry = acc >> 64;
-            }
-            let acc = t[4] as u128 + carry;
-            t[3] = acc as u64;
-            let acc2 = t[5] as u128 + (acc >> 64);
-            t[4] = acc2 as u64;
-            t[5] = (acc2 >> 64) as u64;
-        }
-        debug_assert_eq!(t[5], 0);
-        let mut r = U256([t[0], t[1], t[2], t[3]]);
-        if t[4] != 0 || r >= self.p {
-            r = r.overflowing_sub(&self.p).0;
-        }
-        r
-    }
-
-    /// Field multiplication (both operands in Montgomery form).
+    /// Field multiplication (both operands in Montgomery form): the
+    /// Montgomery product `a·b·R⁻¹ mod p`.
+    #[inline]
     pub fn mul(&self, a: U256, b: U256) -> U256 {
-        self.mont_mul(a, b)
+        if self.p256 {
+            mul_p256(&a, &b)
+        } else {
+            mul_runtime(&a, &b, &self.p.0, self.n0)
+        }
     }
 
     /// Field squaring.
+    #[inline]
     pub fn sqr(&self, a: U256) -> U256 {
-        self.mont_mul(a, a)
+        self.mul(a, a)
     }
 
     /// Field addition.
+    #[inline]
     pub fn add(&self, a: U256, b: U256) -> U256 {
-        add_mod(a, b, &self.p)
+        let (s, carry) = add4(&a.0, &b.0);
+        let (d, borrow) = sub4(&s, &self.p.0);
+        // Keep s − p when the sum carried out of 256 bits or is ≥ p.
+        U256::ct_select(&U256(s), &U256(d), Choice::from_bit(carry | (borrow ^ 1)))
     }
 
     /// Field subtraction.
+    #[inline]
     pub fn sub(&self, a: U256, b: U256) -> U256 {
-        match a.checked_sub(&b) {
-            Some(v) => v,
-            None => a.overflowing_add(&self.p).0.overflowing_sub(&b).0,
-        }
+        let (d, borrow) = sub4(&a.0, &b.0);
+        // Add p back exactly when the subtraction borrowed.
+        let m = borrow.wrapping_neg();
+        let p = &self.p.0;
+        U256(add4(&d, &[p[0] & m, p[1] & m, p[2] & m, p[3] & m]).0)
     }
 
     /// Field negation.
+    #[inline]
     pub fn neg(&self, a: U256) -> U256 {
-        if a.is_zero() {
-            a
-        } else {
-            self.p.overflowing_sub(&a).0
-        }
+        let (d, _) = sub4(&self.p.0, &a.0);
+        U256::ct_select(&U256(d), &U256::ZERO, a.ct_eq(&U256::ZERO))
     }
 
     /// Doubling.
+    #[inline]
     pub fn dbl(&self, a: U256) -> U256 {
         self.add(a, a)
     }
@@ -214,13 +218,93 @@ impl FeLike for MontFe<'_> {
     }
 }
 
-fn add_mod(a: U256, b: U256, p: &U256) -> U256 {
-    let (s, c) = a.overflowing_add(&b);
-    if c || s >= *p {
-        s.overflowing_sub(p).0
-    } else {
-        s
+/// The Montgomery product on P-256's prime: the CIOS body with the modulus
+/// and `n0` folded in as constants.
+///
+/// This and [`mul_runtime`] stay out of line, so an inlined
+/// [`MontField::mul`] is a dispatch rather than two copies of the body at
+/// every call site; inlining both measured slower on the X25519 ladder.
+#[inline(never)]
+fn mul_p256(a: &U256, b: &U256) -> U256 {
+    cios(a, b, &P256_P, P256_N0)
+}
+
+/// The Montgomery product on any other modulus, read at run time.
+#[inline(never)]
+fn mul_runtime(a: &U256, b: &U256, p: &[u64; 4], n0: u64) -> U256 {
+    cios(a, b, p, n0)
+}
+
+/// Montgomery product `a·b·R⁻¹ mod p` (CIOS) for `a < 2^256`, `b < p`.
+///
+/// The one multiplier body: [`MontField::mul`] calls it with P-256's
+/// constants or with a field's runtime modulus.
+#[inline(always)]
+fn cios(a: &U256, b: &U256, p: &[u64; 4], n0: u64) -> U256 {
+    let b = &b.0;
+    // t = t[0..4] + 2^256·t4, kept below 2p between rows.
+    let mut t = [0u64; 4];
+    let mut t4 = 0u64;
+    for &ai in &a.0 {
+        // t += ai·b
+        let (s0, c) = mac(t[0], ai, b[0], 0);
+        let (s1, c) = mac(t[1], ai, b[1], c);
+        let (s2, c) = mac(t[2], ai, b[2], c);
+        let (s3, c) = mac(t[3], ai, b[3], c);
+        let (s4, s5) = adc(t4, c, 0);
+        // t = (t + m·p) / 2^64 with m chosen to clear the low word
+        let m = s0.wrapping_mul(n0);
+        let (_, c) = mac(s0, m, p[0], 0);
+        let (u0, c) = mac(s1, m, p[1], c);
+        let (u1, c) = mac(s2, m, p[2], c);
+        let (u2, c) = mac(s3, m, p[3], c);
+        let (u3, c) = adc(s4, c, 0);
+        t = [u0, u1, u2, u3];
+        t4 = s5 + c;
     }
+    debug_assert!(t4 <= 1);
+    // t < 2p: subtract p once when t overflowed 256 bits or is ≥ p.
+    let (d, borrow) = sub4(&t, p);
+    U256::ct_select(&U256(t), &U256(d), Choice::from_bit(t4 | (borrow ^ 1)))
+}
+
+/// `a + b·c + carry` as (low word, high word).
+#[inline(always)]
+fn mac(a: u64, b: u64, c: u64, carry: u64) -> (u64, u64) {
+    let r = a as u128 + b as u128 * c as u128 + carry as u128;
+    (r as u64, (r >> 64) as u64)
+}
+
+/// `a + b + carry` as (sum word, carry word).
+#[inline(always)]
+fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let r = a as u128 + b as u128 + carry as u128;
+    (r as u64, (r >> 64) as u64)
+}
+
+/// `a + b` over four limbs, with the carry out (0 or 1).
+#[inline(always)]
+fn add4(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
+    let mut out = [0u64; 4];
+    let mut carry = 0u64;
+    for i in 0..4 {
+        (out[i], carry) = adc(a[i], b[i], carry);
+    }
+    (out, carry)
+}
+
+/// `a − b` over four limbs, with the borrow out (0 or 1).
+#[inline(always)]
+fn sub4(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
+    let mut out = [0u64; 4];
+    let mut borrow = 0u64;
+    for i in 0..4 {
+        let (d1, b1) = a[i].overflowing_sub(b[i]);
+        let (d2, b2) = d1.overflowing_sub(borrow);
+        out[i] = d2;
+        borrow = (b1 | b2) as u64;
+    }
+    (out, borrow)
 }
 
 #[cfg(test)]

@@ -2,11 +2,11 @@
 //! Table II row \[22\] and the "2× slower than FourQ" comparison of the
 //! paper's introduction.
 //!
-//! Montgomery ladder over `p = 2^255 − 19` with the standard
-//! constant-time-shaped conditional swaps.
+//! Montgomery ladder over `p = 2^255 − 19` with masked conditional
+//! swaps: no branch or memory index depends on the scalar.
 
 use crate::mont::{FeLike, MontFe, MontField};
-use fourq_fp::U256;
+use fourq_fp::{Choice, U256};
 
 /// One Montgomery-ladder step on the working state `(x2, z2, x3, z3)` with
 /// the fixed base `x1` and curve constant `a24`, written against
@@ -79,6 +79,7 @@ impl X25519 {
 
     /// The X25519 function: `k · u` on the Montgomery curve
     /// (u-coordinate-only ladder). `k` is clamped per RFC 7748.
+    // ct: secret(scalar)
     pub fn ladder(&self, scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
         let f = &self.field;
         let k = Self::clamp(scalar);
@@ -92,16 +93,15 @@ impl X25519 {
         let mut z2 = U256::ZERO;
         let mut x3 = x1;
         let mut z3 = one;
-        let mut swap = false;
+        let mut swap = 0u64;
 
         let x1h = MontFe::new(f, x1);
         let a24h = MontFe::new(f, self.a24);
         for t in (0..255).rev() {
-            let kt = k.bit(t);
-            if swap != kt {
-                core::mem::swap(&mut x2, &mut x3);
-                core::mem::swap(&mut z2, &mut z3);
-            }
+            let kt = k.bit64(t);
+            let c = Choice::from_bit(swap ^ kt);
+            cswap(&mut x2, &mut x3, c);
+            cswap(&mut z2, &mut z3, c);
             swap = kt;
 
             let (nx2, nz2, nx3, nz3) = ladder_step(
@@ -117,10 +117,9 @@ impl X25519 {
             x3 = nx3.value;
             z3 = nz3.value;
         }
-        if swap {
-            core::mem::swap(&mut x2, &mut x3);
-            core::mem::swap(&mut z2, &mut z3);
-        }
+        let c = Choice::from_bit(swap);
+        cswap(&mut x2, &mut x3, c);
+        cswap(&mut z2, &mut z3, c);
         let out = if z2.is_zero() {
             U256::ZERO
         } else {
@@ -149,6 +148,17 @@ impl X25519 {
         let popcount: u64 = e.0.iter().map(|w| w.count_ones() as u64).sum();
         let invert = (u64::from(e.bits()) - 1) + (popcount - 1);
         255 * 10 + invert + 2
+    }
+}
+
+/// Swaps `a` and `b` when `c` is true: both limbs take `a ^ b` masked by
+/// `c`, so the same instructions run either way.
+fn cswap(a: &mut U256, b: &mut U256, c: Choice) {
+    let m = c.mask64();
+    for (x, y) in a.0.iter_mut().zip(b.0.iter_mut()) {
+        let t = m & (*x ^ *y);
+        *x ^= t;
+        *y ^= t;
     }
 }
 

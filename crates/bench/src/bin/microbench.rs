@@ -38,9 +38,11 @@
 //!
 //! `--compare BASELINE.json` re-parses a previous report and fails when
 //! the median slowdown within any of `scalar_ops`, `parallel_ops` or
-//! `asic_pipeline` exceeds 25%. Each matched baseline record is judged by
-//! its own `hw_threads`: records from hardware with a different count
-//! are alert-only.
+//! `asic_pipeline` exceeds 25%. A record's slowdown is divided by the
+//! slowdown of the host-speed anchor timed in alternation with it, so a
+//! host that runs everything 30% slower passes. Each matched baseline
+//! record is judged by its own `hw_threads`: records from hardware with a
+//! different count are alert-only.
 //!
 //! `--filter` accepts a comma-separated list of group-name substrings,
 //! so the CI regression stage can run exactly
@@ -51,7 +53,7 @@
 //! `BENCH_fourq.json` and the git history of that file *is* the perf
 //! trajectory.
 
-use fourq_bench::harness::{BenchOptions, BenchReport};
+use fourq_bench::harness::{BenchOptions, BenchRecord, BenchReport};
 use fourq_bench::micro::run_suite;
 use std::path::PathBuf;
 
@@ -106,7 +108,7 @@ const GATE_PARALLEL_MIN: f64 = 2.0;
 const GATE_PARALLEL_WARN: f64 = 2.5;
 
 fn gate_parallel(report: &BenchReport) -> Result<(), String> {
-    let lookup = |threads: u32| -> Result<&fourq_bench::harness::BenchRecord, String> {
+    let lookup = |threads: u32| -> Result<&BenchRecord, String> {
         report
             .results
             .iter()
@@ -291,11 +293,22 @@ fn gate_fleet(report: &BenchReport) -> Result<(), String> {
 /// compared against the baseline file; the run fails when a group's
 /// *median* slowdown exceeds [`COMPARE_MAX_REGRESSION`]. The median makes
 /// the gate robust to one noisy bench without letting a real across-the-
-/// board regression hide. Each matched baseline record is judged by its
-/// own `hw_threads`: one recorded on a different count is compared
-/// alert-only (cross-machine ns/op deltas are not regressions), one on the
-/// same count — or predating `hw_threads` recording — hard. The two
-/// kinds get separate medians.
+/// board regression hide.
+///
+/// A shared host changes speed by about 30% within seconds, so a raw
+/// ns/op ratio against a committed file measures the host. When both
+/// records carry an anchor ([`BenchRecord::anchor_ns`], timed in
+/// alternating samples with the record), the slowdown is divided by the
+/// anchor's: a uniform host slowdown cancels, a slowdown of the benched
+/// code alone does not. Records without an anchor compare raw. The anchor
+/// is a native Fourℚ scalar multiplication, so a regression of that
+/// engine itself reads as a speedup here; `--gate-replay` and the
+/// repository benchmark watch it.
+///
+/// Each matched baseline record is judged by its own `hw_threads`: one
+/// recorded on a different count is compared alert-only (cross-machine
+/// deltas are not regressions), one on the same count — or predating
+/// `hw_threads` recording — hard. The two kinds get separate medians.
 const COMPARE_GROUPS: [&str; 3] = ["scalar_ops", "parallel_ops", "asic_pipeline"];
 const COMPARE_MAX_REGRESSION: f64 = 0.25;
 
@@ -321,7 +334,7 @@ fn compare_reports(report: &BenchReport, base: &BenchReport, cur_hw: u32) -> Com
             if let Some(b) = matched.filter(|b| b.ns_per_op > 0.0) {
                 let same_hw = b.hw_threads == 0 || b.hw_threads == cur_hw;
                 let bucket = if same_hw { &mut hard } else { &mut soft };
-                bucket.push((cur.ns_per_op / b.ns_per_op, cur.name.clone()));
+                bucket.push((slowdown(cur, b), cur.name.clone()));
             }
         }
         if hard.is_empty() && soft.is_empty() {
@@ -368,6 +381,17 @@ fn compare_reports(report: &BenchReport, base: &BenchReport, cur_hw: u32) -> Com
         }
     }
     outcome
+}
+
+/// `cur`'s slowdown against `base`, divided by the slowdown of the anchor
+/// timed with each when both have one.
+fn slowdown(cur: &BenchRecord, base: &BenchRecord) -> f64 {
+    let raw = cur.ns_per_op / base.ns_per_op;
+    if cur.anchor_ns > 0.0 && base.anchor_ns > 0.0 {
+        raw / (cur.anchor_ns / base.anchor_ns)
+    } else {
+        raw
+    }
 }
 
 fn compare_baseline(report: &BenchReport, path: &std::path::Path) -> Result<(), String> {
@@ -497,18 +521,22 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fourq_bench::harness::BenchRecord;
 
     fn rec(name: &str, ns_per_op: f64, hw_threads: u32) -> BenchRecord {
+        anchored("asic_pipeline", name, ns_per_op, 0.0, hw_threads)
+    }
+
+    fn anchored(group: &str, name: &str, ns: f64, anchor_ns: f64, hw: u32) -> BenchRecord {
         BenchRecord {
-            group: "asic_pipeline".to_string(),
+            group: group.to_string(),
             name: name.to_string(),
-            ns_per_op,
-            ops_per_sec: 1e9 / ns_per_op,
+            ns_per_op: ns,
+            ops_per_sec: 1e9 / ns,
             samples: 1,
             iters_per_sample: 1,
             threads: 1,
-            hw_threads,
+            hw_threads: hw,
+            anchor_ns,
         }
     }
 
@@ -551,5 +579,58 @@ mod tests {
         let base = report(vec![rec("a", 100.0, 0)]);
         let cur = report(vec![rec("a", 200.0, 2)]);
         assert_eq!(compare_reports(&cur, &base, 2).failures.len(), 1);
+    }
+
+    #[test]
+    fn compare_divides_out_the_anchor() {
+        // Every compared group, three records each, anchors at 80 µs.
+        let records = |scale: &dyn Fn(&str) -> (f64, f64)| {
+            let mut out = Vec::new();
+            for group in COMPARE_GROUPS {
+                let (ns_scale, anchor_scale) = scale(group);
+                for (name, ns) in [("a", 100.0), ("b", 2_000.0), ("c", 50_000.0)] {
+                    out.push(anchored(
+                        group,
+                        name,
+                        ns * ns_scale,
+                        80_000.0 * anchor_scale,
+                        2,
+                    ));
+                }
+            }
+            report(out)
+        };
+        let base = records(&|_| (1.0, 1.0));
+        // A host 1.3x slower everywhere slows each record and its anchor
+        // alike: no failure, though the raw ratios read +30%.
+        let out = compare_reports(&records(&|_| (1.3, 1.3)), &base, 2);
+        assert!(out.failures.is_empty(), "{:?}", out.failures);
+        // One group 1.3x slower while its anchor is not: that group fails.
+        let out = compare_reports(
+            &records(&|g| {
+                if g == "scalar_ops" {
+                    (1.3, 1.0)
+                } else {
+                    (1.0, 1.0)
+                }
+            }),
+            &base,
+            2,
+        );
+        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+        assert!(out.failures[0].contains("scalar_ops"), "{:?}", out.failures);
+        // The same slowdown on a host that also got 1.3x slower fails too.
+        let out = compare_reports(
+            &records(&|g| {
+                if g == "scalar_ops" {
+                    (1.69, 1.3)
+                } else {
+                    (1.3, 1.3)
+                }
+            }),
+            &base,
+            2,
+        );
+        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
     }
 }

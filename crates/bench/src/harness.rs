@@ -88,6 +88,10 @@ pub struct BenchRecord {
     /// was even reachable; `0` in records parsed from files that predate
     /// the field.
     pub hw_threads: u32,
+    /// Median ns/op of the host-speed anchor timed in alternating samples
+    /// with this record ([`run_anchored`]); `0` when the record was timed
+    /// alone. `--compare` divides a record's slowdown by its anchor's.
+    pub anchor_ns: f64,
 }
 
 /// Hardware threads on this machine (0 if undeterminable).
@@ -139,6 +143,26 @@ pub fn run_pair<Ra, Rb>(
     ]
 }
 
+/// Times `f` in alternating samples with `anchor` ([`run_pair`]) and
+/// returns `f`'s record carrying the anchor's median as
+/// [`BenchRecord::anchor_ns`].
+///
+/// The anchor is a fixed workload whose code a change under test is not
+/// expected to touch. Both medians come from the same stretch of host
+/// time, so `ns_per_op / anchor_ns` cancels a change in host speed that
+/// moves both.
+pub fn run_anchored<R, A>(
+    group: &str,
+    name: &str,
+    opts: &BenchOptions,
+    f: impl FnMut() -> R,
+    anchor: impl FnMut() -> A,
+) -> BenchRecord {
+    let [mut rec, anchor] = run_pair(group, (name, f), ("anchor", anchor), opts);
+    rec.anchor_ns = anchor.ns_per_op;
+    rec
+}
+
 /// Warms `f` up and returns the iteration count that makes one sample
 /// last about `opts.sample_time`.
 fn calibrate<R>(opts: &BenchOptions, f: &mut impl FnMut() -> R) -> u64 {
@@ -179,6 +203,7 @@ fn record(group: &str, name: &str, mut per_op: Vec<f64>, iters: u64) -> BenchRec
         iters_per_sample: iters,
         threads: 1,
         hw_threads: hw_threads(),
+        anchor_ns: 0.0,
     }
 }
 
@@ -212,7 +237,7 @@ impl BenchReport {
             out.push_str(&format!(
                 "    {{\"group\": {}, \"name\": {}, \"ns_per_op\": {:?}, \
                  \"ops_per_sec\": {:?}, \"samples\": {}, \"iters_per_sample\": {}, \
-                 \"threads\": {}, \"hw_threads\": {}}}{}\n",
+                 \"threads\": {}, \"hw_threads\": {}, \"anchor_ns\": {:?}}}{}\n",
                 quote(&r.group),
                 quote(&r.name),
                 r.ns_per_op,
@@ -221,6 +246,7 @@ impl BenchReport {
                 r.iters_per_sample,
                 r.threads,
                 r.hw_threads,
+                r.anchor_ns,
                 if i + 1 < self.results.len() { "," } else { "" },
             ));
         }
@@ -272,6 +298,7 @@ impl BenchReport {
                 // Tolerant: files written before the field default to 0
                 // ("unknown hardware").
                 hw_threads: num_field("hw_threads").unwrap_or(0.0) as u32,
+                anchor_ns: num_field("anchor_ns").unwrap_or(0.0),
             });
         }
         Ok(report)
@@ -545,6 +572,7 @@ mod tests {
             iters_per_sample: 40000,
             threads: 1,
             hw_threads: 8,
+            anchor_ns: 0.0,
         });
         report.results.push(BenchRecord {
             group: "signatures".into(),
@@ -555,6 +583,7 @@ mod tests {
             iters_per_sample: 1,
             threads: 4,
             hw_threads: 8,
+            anchor_ns: 79_000.5,
         });
         let text = report.to_json();
         let back = BenchReport::from_json(&text).expect("parses");
@@ -565,14 +594,15 @@ mod tests {
 
     #[test]
     fn from_json_tolerates_missing_hw_threads() {
-        // Records written before the field existed parse with 0
-        // ("unknown hardware") instead of erroring.
+        // Records written before the fields existed parse with 0
+        // ("unknown hardware", "not anchored") instead of erroring.
         let text = "{\"schema\": \"fourq-bench/v2\", \"results\": [\
                     {\"group\": \"g\", \"name\": \"n\", \"ns_per_op\": 10.0, \
                     \"ops_per_sec\": 1e8, \"samples\": 3, \"iters_per_sample\": 7, \
                     \"threads\": 1}]}";
         let report = BenchReport::from_json(text).expect("parses");
         assert_eq!(report.results[0].hw_threads, 0);
+        assert_eq!(report.results[0].anchor_ns, 0.0);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! | `multi_curve` | Table II on one machine — per-curve compiled kernels through the shared cache |
 //! | `fleet_ops` | multi-core fleet model + capacity planner (`--gate-fleet` scaling tripwire) |
 
-use crate::harness::{run, run_pair, BenchOptions, BenchRecord, BenchReport};
+use crate::harness::{run, run_anchored, run_pair, BenchOptions, BenchRecord, BenchReport};
 use fourq_baselines::{p256::P256, x25519::X25519};
-use fourq_curve::{decompose, recode, AffinePoint, FourQEngine};
+use fourq_curve::{decompose, recode, AffinePoint, CurveId, FourQEngine, MultiCurveEngine};
 use fourq_fp::{Fp, Fp2, Scalar, U256};
 use fourq_sig::{ecdsa, schnorr};
 use fourq_testkit::TestRng;
@@ -30,6 +30,17 @@ fn bench_scalar(rng: &mut TestRng) -> Scalar {
     let mut limbs = [0u64; 4];
     rng.fill_u64(&mut limbs);
     Scalar::from_u256(U256(limbs))
+}
+
+/// The host-speed anchor of the groups `microbench --compare` gates
+/// (`scalar_ops`, `parallel_ops`, `asic_pipeline`): one native Fourℚ
+/// variable-base scalar multiplication, the work of
+/// `asic_pipeline/native_variable_base`. Each gated record is timed in
+/// alternation with it ([`run_anchored`]).
+fn anchor() -> impl FnMut() -> AffinePoint {
+    let g = AffinePoint::generator();
+    let k = bench_scalar(&mut TestRng::from_seed(BENCH_SEED ^ 0xA));
+    move || g.mul(black_box(&k))
 }
 
 /// Batch size for the `batch_*` groups — the ISSUE acceptance size.
@@ -135,6 +146,18 @@ pub fn curve_compare(report: &mut BenchReport, opts: &BenchOptions) {
     report.push(run("curve_compare", "x25519_ladder", opts, || {
         x.public_key(black_box(&secret))
     }));
+
+    // The paths `fourq-serve` answers `CurveMul` from: point decoding and
+    // validation, the constant-time multiplication and the encoding.
+    let eng = MultiCurveEngine::shared();
+    for curve in [CurveId::P256, CurveId::X25519] {
+        let point = eng.generator_encoded(curve);
+        let name = format!("{}_curve_mul", curve.name());
+        report.push(run("curve_compare", &name, opts, || {
+            eng.curve_mul(curve, black_box(&secret), &point)
+                .expect("generator is a valid point")
+        }));
+    }
 }
 
 /// The scheduling flow itself (trace → problem → schedule).
@@ -166,22 +189,42 @@ pub fn scalar_ops(report: &mut BenchReport, opts: &BenchOptions) {
     let a = bench_scalar(&mut rng);
     let b = bench_scalar(&mut rng);
     let xs: Vec<Scalar> = (0..BATCH_N).map(|_| bench_scalar(&mut rng)).collect();
-    report.push(run("scalar_ops", "mul_montgomery", opts, || {
-        black_box(a) * black_box(b)
-    }));
-    report.push(run("scalar_ops", "mul_rem_wide", opts, || {
-        black_box(a).mul_rem_wide(black_box(&b))
-    }));
-    report.push(run("scalar_ops", "inv_windowed", opts, || {
-        black_box(a).inv()
-    }));
-    report.push(run("scalar_ops", "inv_binary_rem_wide", opts, || {
-        black_box(a).inv_binary_rem_wide()
-    }));
+    report.push(run_anchored(
+        "scalar_ops",
+        "mul_montgomery",
+        opts,
+        || black_box(a) * black_box(b),
+        anchor(),
+    ));
+    report.push(run_anchored(
+        "scalar_ops",
+        "mul_rem_wide",
+        opts,
+        || black_box(a).mul_rem_wide(black_box(&b)),
+        anchor(),
+    ));
+    report.push(run_anchored(
+        "scalar_ops",
+        "inv_windowed",
+        opts,
+        || black_box(a).inv(),
+        anchor(),
+    ));
+    report.push(run_anchored(
+        "scalar_ops",
+        "inv_binary_rem_wide",
+        opts,
+        || black_box(a).inv_binary_rem_wide(),
+        anchor(),
+    ));
     report.push(per_item(
-        run("scalar_ops", "batch_invert_n64_per_item", opts, || {
-            Scalar::batch_invert(black_box(&xs))
-        }),
+        run_anchored(
+            "scalar_ops",
+            "batch_invert_n64_per_item",
+            opts,
+            || Scalar::batch_invert(black_box(&xs)),
+            anchor(),
+        ),
         BATCH_N,
     ));
 }
@@ -317,9 +360,13 @@ pub fn parallel_ops(report: &mut BenchReport, opts: &BenchOptions) {
         let eng = FourQEngine::shared().with_threads(threads);
         let name = format!("batch_scalar_mul_n256_t{threads}_per_point");
         let mut rec = per_item(
-            run("parallel_ops", &name, opts, || {
-                eng.batch_scalar_mul(black_box(&pairs))
-            }),
+            run_anchored(
+                "parallel_ops",
+                &name,
+                opts,
+                || eng.batch_scalar_mul(black_box(&pairs)),
+                anchor(),
+            ),
             PAR_N,
         );
         rec.threads = threads as u32;
@@ -345,13 +392,19 @@ pub fn asic_pipeline(report: &mut BenchReport, opts: &BenchOptions) {
     let k = bench_scalar(&mut rng);
     let ks: Vec<Scalar> = (0..KERNEL_BATCH).map(|_| bench_scalar(&mut rng)).collect();
 
-    report.push(run("asic_pipeline", "compile_cold", opts, || {
-        fourq_cpu::compile(&machine, KERNEL_EFFORT).expect("kernel compiles")
-    }));
+    report.push(run_anchored(
+        "asic_pipeline",
+        "compile_cold",
+        opts,
+        || fourq_cpu::compile(&machine, KERNEL_EFFORT).expect("kernel compiles"),
+        anchor(),
+    ));
     let kernel = fourq_cpu::shared_kernel(&machine, KERNEL_EFFORT).expect("kernel compiles");
     // The warm replay and the native engine on the same scalar, in
-    // alternating samples: `--gate-replay` divides one by the other.
-    let [warm, native] = run_pair(
+    // alternating samples: `--gate-replay` divides one by the other. The
+    // native engine is the anchor's own work, so it anchors both records
+    // (and so reads 1.0 against itself under `--compare`).
+    let [mut warm, mut native] = run_pair(
         "asic_pipeline",
         ("execute_warm", || {
             kernel.execute(&g, black_box(&k)).expect("kernel executes")
@@ -359,21 +412,35 @@ pub fn asic_pipeline(report: &mut BenchReport, opts: &BenchOptions) {
         ("native_variable_base", || g.mul(black_box(&k))),
         opts,
     );
+    warm.anchor_ns = native.ns_per_op;
+    native.anchor_ns = native.ns_per_op;
     report.push(warm);
     report.push(native);
-    report.push(run("asic_pipeline", "kernel_verify", opts, || {
-        let r = fourq_cpu::verify(black_box(kernel), fourq_cpu::CheckLevel::Full);
-        assert!(r.is_clean(), "shipped kernel must verify clean");
-        r
-    }));
+    report.push(run_anchored(
+        "asic_pipeline",
+        "kernel_verify",
+        opts,
+        || {
+            let r = fourq_cpu::verify(black_box(kernel), fourq_cpu::CheckLevel::Full);
+            assert!(r.is_clean(), "shipped kernel must verify clean");
+            r
+        },
+        anchor(),
+    ));
     for threads in [1usize, 4] {
         let name = format!("execute_batch_n{KERNEL_BATCH}_t{threads}_per_sm");
         let mut rec = per_item(
-            run("asic_pipeline", &name, opts, || {
-                kernel
-                    .execute_batch_with(&g, black_box(&ks), threads)
-                    .expect("kernel executes")
-            }),
+            run_anchored(
+                "asic_pipeline",
+                &name,
+                opts,
+                || {
+                    kernel
+                        .execute_batch_with(&g, black_box(&ks), threads)
+                        .expect("kernel executes")
+                },
+                anchor(),
+            ),
             KERNEL_BATCH,
         );
         rec.threads = threads as u32;
@@ -387,7 +454,6 @@ pub fn asic_pipeline(report: &mut BenchReport, opts: &BenchOptions) {
 /// per-curve `compile_cold / execute_warm` pairs are what
 /// `--gate-kernel-cache` checks for cache amortisation beyond Fourℚ.
 pub fn multi_curve(report: &mut BenchReport, opts: &BenchOptions) {
-    use fourq_curve::{CurveId, MultiCurveEngine};
     use fourq_sched::MachineConfig;
 
     const KERNEL_EFFORT: u32 = 2;

@@ -559,12 +559,14 @@ fn find_fns(ctx: &FileCtx) -> Vec<FnInfo> {
             continue;
         }
         let pclose = match_fwd(toks, j);
-        // body: next `{` before any `;` (a `;` first means a trait sig)
+        // body: next `{` before any `;` (a `;` first means a trait sig);
+        // the `;` of an array type (`-> [u8; 32]`) is skipped with it
         let mut k = pclose + 1;
         let body = loop {
             match toks.get(k).map(|t| t.text.as_str()) {
                 Some(";") | None => break None,
                 Some("{") => break Some((k, match_fwd(toks, k))),
+                Some("[") | Some("(") => k = match_fwd(toks, k) + 1,
                 _ => k += 1,
             }
         };

@@ -58,6 +58,11 @@ fn bad_branch_findings() {
 }
 
 #[test]
+fn bad_array_return_findings() {
+    check_bad("bad_array_return");
+}
+
+#[test]
 fn bad_vartime_ops_findings() {
     check_bad("bad_vartime_ops");
 }
@@ -100,6 +105,7 @@ fn every_fixture_has_a_test() {
     assert_eq!(
         stems,
         [
+            "bad_array_return",
             "bad_branch",
             "bad_eq",
             "bad_panic",

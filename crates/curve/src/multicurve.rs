@@ -224,12 +224,12 @@ impl MultiCurveEngine {
                 Ok(self.x25519.ladder(scalar, &u).to_vec())
             }
             CurveId::P256 => {
-                let p = decode_p256(point).ok_or(CurveMulError::BadPoint)?;
+                let p = decode_p256(point, &self.p256.field.p).ok_or(CurveMulError::BadPoint)?;
                 if !self.p256.is_on_curve(&p) {
                     return Err(CurveMulError::BadPoint);
                 }
                 let k = U256::from_le_bytes(scalar);
-                Ok(encode_p256(&self.p256.scalar_mul_complete(&k, &p)))
+                Ok(encode_p256(&self.p256.scalar_mul_window(&k, &p)))
             }
         }
     }
@@ -256,8 +256,9 @@ impl Default for MultiCurveEngine {
 }
 
 /// Decodes the 64-byte `x ‖ y` little-endian P-256 wire form; all-zero is
-/// the point at infinity. Coordinates must be canonical (< p).
-fn decode_p256(bytes: &[u8]) -> Option<Affine> {
+/// the point at infinity. Coordinates must be canonical (< `p`, the field
+/// modulus).
+fn decode_p256(bytes: &[u8], p: &U256) -> Option<Affine> {
     let mut xb = [0u8; 32];
     let mut yb = [0u8; 32];
     xb.copy_from_slice(&bytes[..32]);
@@ -267,8 +268,7 @@ fn decode_p256(bytes: &[u8]) -> Option<Affine> {
     if x.is_zero() && y.is_zero() {
         return Some(Affine::Infinity);
     }
-    let p = P256::new().field.p;
-    if x >= p || y >= p {
+    if x >= *p || y >= *p {
         return None;
     }
     Some(Affine::Point { x, y })

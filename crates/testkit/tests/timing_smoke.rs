@@ -13,7 +13,7 @@
 //! early exit costs far more than 25 sigma at these sample counts), not
 //! to certify microarchitectural silence.
 
-use fourq_curve::AffinePoint;
+use fourq_curve::{AffinePoint, CurveId, MultiCurveEngine};
 use fourq_fp::{Fp, Scalar, U256};
 use fourq_testkit::timing::compare;
 use fourq_testkit::{Arbitrary, TestRng};
@@ -67,5 +67,30 @@ fn scalar_mul_timing_is_scalar_independent() {
     assert!(
         report.t.abs() < T_THRESHOLD,
         "scalar-mul timing leak suspected: {report:?}"
+    );
+}
+
+#[test]
+#[ignore = "statistical timing test; run on quiet hardware with --ignored"]
+fn p256_curve_mul_timing_is_scalar_independent() {
+    let rng = RefCell::new(TestRng::from_seed(0x9256_CAFE));
+    let eng = MultiCurveEngine::shared();
+    let g = eng.generator_encoded(CurveId::P256);
+    let fixed_k = [0x11u8; 32];
+    let sink = Cell::new(0u8);
+    let mul = |k: &[u8; 32]| {
+        let out = eng.curve_mul(CurveId::P256, k, &g).expect("valid point");
+        sink.set(sink.get() ^ out[0]);
+    };
+    let report = compare(
+        || mul(&fixed_k),
+        || mul(&<[u8; 32]>::arbitrary(&mut rng.borrow_mut())),
+        400,
+        1,
+    );
+    assert!(sink.get() != 0 || sink.get() == 0); // keep the sink live
+    assert!(
+        report.t.abs() < T_THRESHOLD,
+        "P-256 curve_mul timing leak suspected: {report:?}"
     );
 }

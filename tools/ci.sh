@@ -152,7 +152,9 @@ if [[ "${FOURQ_BENCH_FAST:-0}" == "0" || -z "${FOURQ_BENCH_FAST:-}" ]]; then
     step "bench-regression: compare against committed BENCH_fourq.json"
     # Full-budget (non-FAST) re-measurement of the three tracked groups,
     # failing on a >25% median regression against the committed baseline
-    # (alert-only when the baseline came from different hardware).
+    # (alert-only when the baseline came from different hardware). Each
+    # record's slowdown is divided by that of an anchor bench timed in
+    # alternation with it, so a host-speed swing does not fail the stage.
     out="$(mktemp)"
     cargo run --release -q -p fourq-bench --bin microbench -- \
         --filter scalar_ops,parallel_ops,asic_pipeline \
